@@ -13,6 +13,7 @@
 #include <new>
 
 #include "bench_common.hpp"
+#include "common/bits_batch_impl.hpp"
 #include "io/checkpoint.hpp"
 #include "nn/kernels/elementwise.hpp"
 #include "nn/kernels/gemm.hpp"
@@ -96,6 +97,14 @@ const Pipeline& c2Pipeline() {
   static Pipeline p = [] {
     quietLogs();
     return buildPipeline("C2", "sto-3g");
+  }();
+  return p;
+}
+
+const Pipeline& c2h4oPipeline() {
+  static Pipeline p = [] {
+    quietLogs();
+    return buildPipeline("C2H4O", "sto-3g");
   }();
   return p;
 }
@@ -748,25 +757,28 @@ BENCHMARK(BM_LocalEnergySample);
 
 // The batched local-energy engine vs. the per-sample LUT engines at the
 // fig10 acceptance shape (C2, N_s = 2^14).  Impl 0/1 are the per-sample
-// binary-search engines (serial / OpenMP), 2/3 the batched merge-join engine
+// binary-search engines (serial / OpenMP), 2/3 the batched pair-scan engine
 // (single-thread / threaded); the 0-vs-2 and 1-vs-3 time ratios are the
-// batched-engine speedups quoted in the README (>= 2x acceptance bar at
-// equal thread budget).  The warm-up run doubles as a correctness gate
-// (tolerance-0 vs kSaFuseLut) and the timed batched runs assert the warm
-// path's zero-heap-allocation contract via the operator-new hook.
+// batched-engine speedups quoted in the README.  Impl 4 is the batched engine
+// on one thread at the vmc-c2h4o-1r shape (C2H4O, 38 qubits, N_s = 4096),
+// the regime where |S| is small next to nGroups.  The warm-up run doubles as
+// a correctness gate (tolerance-0 vs kSaFuseLut) and the timed batched runs
+// assert the warm path's zero-heap-allocation contract via the operator-new
+// hook.
 void BM_ElocBatched(benchmark::State& state) {
   const std::int64_t impl = state.range(0);
-  const auto& p = c2Pipeline();
+  const bool c2h4o = impl == 4;
+  const auto& p = c2h4o ? c2h4oPipeline() : c2Pipeline();
   const auto packed = ops::PackedHamiltonian::fromHamiltonian(p.ham);
   nqs::QiankunNet net(paperNetConfig(p));
   nqs::SamplerOptions opts;
-  opts.nSamples = 1 << 14;
+  opts.nSamples = c2h4o ? 4096 : 1 << 14;
   const auto set = nqs::batchAutoregressiveSample(net, opts);
   const auto psi = net.psi(set.samples);
   const auto lut = vmc::WavefunctionLut::build(set.samples, psi);
 
   vmc::ElocBatchedOptions bOpts;
-  bOpts.maxThreads = impl == 2 ? 1 : 0;
+  bOpts.maxThreads = impl == 2 || impl == 4 ? 1 : 0;
   std::vector<Complex> out(set.samples.size());
   vmc::ElocStats stats;
   if (impl >= 2) {
@@ -804,11 +816,12 @@ void BM_ElocBatched(benchmark::State& state) {
     case 0: state.SetLabel("lut/serial"); break;
     case 1: state.SetLabel("lut/threads"); break;
     case 2: state.SetLabel("batched/1T"); break;
-    default: state.SetLabel("batched/threads"); break;
+    case 3: state.SetLabel("batched/threads"); break;
+    default: state.SetLabel("batched/1T/C2H4O"); break;
   }
   if (impl >= 2) {
     state.counters["allocs/run"] = static_cast<double>(lastRunAllocs);
-    state.counters["dedup%"] = 100.0 * stats.dedupFraction();
+    state.counters["survivor%"] = 100.0 * stats.survivorFraction();
     state.counters["hit%"] =
         100.0 * static_cast<double>(stats.lutHits) /
         static_cast<double>(stats.termsEnumerated);
@@ -817,9 +830,44 @@ void BM_ElocBatched(benchmark::State& state) {
   }
 }
 // Arg: 0 = kSaFuseLut (serial binary search), 1 = kSaFuseLutParallel,
-// 2 = batched engine pinned to one thread, 3 = batched engine threaded.
-BENCHMARK(BM_ElocBatched)->Arg(0)->Arg(1)->Arg(2)->Arg(3)
+// 2 = batched engine pinned to one thread, 3 = batched engine threaded,
+// 4 = batched engine pinned to one thread at the C2H4O/N_s=4096 shape.
+BENCHMARK(BM_ElocBatched)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+// The flip-distance scan kernel behind the batched engine, per backend
+// (0 = scalar reference, 1 = AVX2 nibble-LUT popcount, 2 = AVX-512 VPOPCNTQ):
+// one sample against 4096 random 128-bit keys at maxFlip 4, so nearly every
+// pair is rejected and the row measures the pure scan cost in ns per pair.
+void BM_FlipScan(benchmark::State& state) {
+  batch::detail::FlipScanFn scan = &batch::flipDistanceScanScalar;
+  if (state.range(0) == 1) scan = batch::detail::avx2Backend().flipScan;
+  if (state.range(0) == 2) scan = batch::detail::avx512Backend().flipScan;
+  if (scan == nullptr) {
+    state.SkipWithError("backend not available on this host");
+    return;
+  }
+  constexpr std::size_t kKeys = 4096;
+  std::vector<std::uint64_t> lo(kKeys), hi(kKeys);
+  Rng rng(11);
+  for (std::size_t j = 0; j < kKeys; ++j) {
+    lo[j] = rng.next();
+    hi[j] = rng.next();
+  }
+  std::vector<std::uint32_t> out(kKeys);
+  const Bits128 x{rng.next(), rng.next()};
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        scan(x, lo.data(), hi.data(), kKeys, 4, out.data()));
+  // Seconds per pair, printed with an SI prefix (e.g. "420p" = 0.42 ns).
+  state.counters["t/pair"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kKeys),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel(state.range(0) == 0   ? "scalar"
+                 : state.range(0) == 1 ? "avx2"
+                                       : "avx512");
+}
+BENCHMARK(BM_FlipScan)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_EriShellQuartets(benchmark::State& state) {
   const auto mol = chem::makeMolecule("H2O");

@@ -33,7 +33,7 @@ inline nqs::DecodePolicy decodePolicy(const Args& args) {
 }
 
 /// `--eloc batched|lut` selects the local-energy engine: the batched
-/// merge-join engine (default) or the per-sample binary-search engine.
+/// pair-scan engine (default) or the per-sample binary-search engine.
 /// Both produce bit-identical per-sample E_loc, so this only moves the
 /// local-energy phase's wall clock.
 inline vmc::ElocMode elocMode(const Args& args) {

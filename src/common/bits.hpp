@@ -109,7 +109,7 @@ struct Bits128Hash {
   }
 };
 
-/// Batched Bits128 kernels (XOR term application, AND-parity sign streams)
+/// Batched Bits128 kernels (AND-parity sign streams, flip-distance scans)
 /// over contiguous arrays — the bit-level inner loops of the batched
 /// local-energy engine.  Same backend contract as src/nn/kernels: a scalar
 /// reference is the ground truth, the AVX2/AVX-512 variants (runtime cpuid
@@ -119,22 +119,31 @@ struct Bits128Hash {
 /// survives future fancier kernels.
 namespace batch {
 
-/// out[i] = xs[i] ^ mask for i in [0, n): applies one Hamiltonian-group XY
-/// mask to a block of samples, yielding the coupled configurations.
-void xorMask(const Bits128* xs, std::size_t n, Bits128 mask, Bits128* out);
-
 /// out[i] = parity(popcount(xs[i] & mask)) as a 0/1 byte: the Pauli
 /// sign-stream of one YZ mask over a block of samples.
 void parityAndMask(const Bits128* xs, std::size_t n, Bits128 mask,
                    unsigned char* out);
 
+/// Flip-distance scan of a key set stored as split word arrays: writes to
+/// out[0, m) the ascending indices j < n with
+///   popcount(x.lo ^ keysLo[j]) + popcount(x.hi ^ keysHi[j]) <= maxFlip
+/// and returns m — the keys within Hamming distance maxFlip of x, i.e. the
+/// candidate coupled states of x when no Hamiltonian term flips more than
+/// maxFlip qubits.  `out` must hold n entries.
+std::size_t flipDistanceScan(Bits128 x, const std::uint64_t* keysLo,
+                             const std::uint64_t* keysHi, std::size_t n,
+                             int maxFlip, std::uint32_t* out);
+
 /// Scalar reference implementations (ground truth of the backend contract).
-void xorMaskScalar(const Bits128* xs, std::size_t n, Bits128 mask, Bits128* out);
 void parityAndMaskScalar(const Bits128* xs, std::size_t n, Bits128 mask,
                          unsigned char* out);
+std::size_t flipDistanceScanScalar(Bits128 x, const std::uint64_t* keysLo,
+                                   const std::uint64_t* keysHi, std::size_t n,
+                                   int maxFlip, std::uint32_t* out);
 
-/// Backend the dispatched entry points run on this host: "avx512", "avx2"
-/// or "scalar".
+/// Backend the dispatched parityAndMask runs on this host: "avx512",
+/// "avx2" or "scalar".  flipDistanceScan follows it, except that its AVX-512
+/// kernel also needs AVX512_VPOPCNTDQ (AVX2 kernel otherwise).
 const char* backendName();
 
 }  // namespace batch

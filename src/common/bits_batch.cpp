@@ -8,23 +8,39 @@
 
 namespace nnqs::batch {
 
-void xorMaskScalar(const Bits128* xs, std::size_t n, Bits128 mask,
-                   Bits128* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = xs[i] ^ mask;
-}
-
 void parityAndMaskScalar(const Bits128* xs, std::size_t n, Bits128 mask,
                          unsigned char* out) {
   for (std::size_t i = 0; i < n; ++i)
     out[i] = static_cast<unsigned char>(parityAnd(xs[i], mask));
 }
 
+std::size_t flipDistanceScanScalar(Bits128 x, const std::uint64_t* keysLo,
+                                   const std::uint64_t* keysHi, std::size_t n,
+                                   int maxFlip, std::uint32_t* out) {
+  std::size_t m = 0;
+  for (std::size_t j = 0; j < n; ++j)
+    if (std::popcount(x.lo ^ keysLo[j]) + std::popcount(x.hi ^ keysHi[j]) <=
+        maxFlip)
+      out[m++] = static_cast<std::uint32_t>(j);
+  return m;
+}
+
 namespace {
 
+/// Fills each kernel from the most preferred backend that provides it (the
+/// flip scan resolves on its own probe, see bits_batch_impl.hpp).
 detail::Backend resolveBackend() {
-  if (const auto b = detail::avx512Backend(); b.xorMask != nullptr) return b;
-  if (const auto b = detail::avx2Backend(); b.xorMask != nullptr) return b;
-  return {&xorMaskScalar, &parityAndMaskScalar, "scalar"};
+  detail::Backend d{&parityAndMaskScalar, &flipDistanceScanScalar,
+                    "scalar"};
+  for (const detail::Backend& b :  // ascending preference
+       {detail::avx2Backend(), detail::avx512Backend()}) {
+    if (b.parityAndMask != nullptr) {
+      d.parityAndMask = b.parityAndMask;
+      d.name = b.name;
+    }
+    if (b.flipScan != nullptr) d.flipScan = b.flipScan;
+  }
+  return d;
 }
 
 const detail::Backend& backend() {
@@ -34,13 +50,15 @@ const detail::Backend& backend() {
 
 }  // namespace
 
-void xorMask(const Bits128* xs, std::size_t n, Bits128 mask, Bits128* out) {
-  backend().xorMask(xs, n, mask, out);
-}
-
 void parityAndMask(const Bits128* xs, std::size_t n, Bits128 mask,
                    unsigned char* out) {
   backend().parityAndMask(xs, n, mask, out);
+}
+
+std::size_t flipDistanceScan(Bits128 x, const std::uint64_t* keysLo,
+                             const std::uint64_t* keysHi, std::size_t n,
+                             int maxFlip, std::uint32_t* out) {
+  return backend().flipScan(x, keysLo, keysHi, n, maxFlip, out);
 }
 
 const char* backendName() { return backend().name; }

@@ -44,10 +44,11 @@ enum class KernelPolicy {
 ///  - kSaFuseLut: + the sorted integer lookup table (binary search).
 ///  - kSaFuseLutParallel: + thread parallelism over samples (Algorithm 2 with
 ///    OpenMP threads standing in for the CUDA kernel).
-///  - kBatched: the batched SIMD engine (vmc/eloc_kernels.hpp) — (sample-tile
-///    x term-block) work shape, batched XOR/parity kernels, sorted merge-join
-///    LUT probes with cross-sample dedup, tiles dynamically scheduled by
-///    realized term work.  Per-sample results identical to kSaFuseLut.
+///  - kBatched: the batched SIMD engine (vmc/eloc_kernels.hpp) — coupled
+///    states found by a flip-distance scan of S plus a mask -> group index,
+///    batched per-group coefficient passes over sample tiles, tiles
+///    dynamically scheduled by realized term work.  Per-sample results
+///    identical to kSaFuseLut.
 enum class ElocMode {
   kBaseline,
   kSaFuse,

@@ -1,6 +1,10 @@
 #include "ops/packed_hamiltonian.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <limits>
 #include <map>
+#include <stdexcept>
 
 namespace nnqs::ops {
 
@@ -69,6 +73,17 @@ PackedHamiltonian PackedHamiltonian::fromHamiltonian(const SpinHamiltonian& h) {
       p.coeffs.push_back(h.coeffs[i] * phase);
     }
     p.idxs.push_back(p.yz.size());
+  }
+  if (p.nGroups() > static_cast<std::size_t>(
+                        std::numeric_limits<std::int32_t>::max()))
+    throw std::length_error("PackedHamiltonian: too many XY groups");
+  p.maskSlots.assign(std::bit_ceil(2 * p.nGroups() + 1), -1);
+  const std::size_t wrap = p.maskSlots.size() - 1;
+  for (std::size_t k = 0; k < p.nGroups(); ++k) {
+    p.maxFlip = std::max(p.maxFlip, p.xyUnique[k].popcount());
+    std::size_t s = Bits128Hash{}(p.xyUnique[k]) & wrap;
+    while (p.maskSlots[s] >= 0) s = (s + 1) & wrap;
+    p.maskSlots[s] = static_cast<std::int32_t>(k);
   }
   return p;
 }

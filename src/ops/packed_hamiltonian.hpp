@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "ops/hamiltonian.hpp"
 
@@ -39,13 +40,32 @@ struct PackedHamiltonian {
   std::vector<std::size_t> idxs;  ///< group k = [idxs[k], idxs[k+1]); size = nGroups+1
   std::vector<Bits128> yz;
   std::vector<Real> coeffs;       ///< premultiplied
+  /// Largest popcount of any XY mask (4 for molecular JW Hamiltonians): x and
+  /// x' can only couple when they differ in at most this many qubits.
+  int maxFlip = 0;
+  /// XY mask -> group index: open-addressing table (power-of-two size, load
+  /// <= 1/2) of group indices into xyUnique, -1 = empty slot.  Read through
+  /// groupOf().
+  std::vector<std::int32_t> maskSlots;
 
   [[nodiscard]] std::size_t nGroups() const { return xyUnique.size(); }
   [[nodiscard]] std::size_t nTerms() const { return yz.size(); }
+  /// Paper accounting of the Fig. 6(c) layout (maxFlip/maskSlots excluded).
   [[nodiscard]] std::size_t memoryBytes() const;
 
-  /// Algorithm 1 of the paper.
+  /// Algorithm 1 of the paper, plus maxFlip and the mask index.
   static PackedHamiltonian fromHamiltonian(const SpinHamiltonian& h);
+
+  /// Index k of the group with xyUnique[k] == mask, or -1 when no string
+  /// flips exactly `mask`.
+  [[nodiscard]] std::int32_t groupOf(Bits128 mask) const {
+    if (maskSlots.empty()) return -1;
+    const std::size_t wrap = maskSlots.size() - 1;
+    for (std::size_t s = Bits128Hash{}(mask) & wrap;; s = (s + 1) & wrap) {
+      const std::int32_t k = maskSlots[s];
+      if (k < 0 || xyUnique[static_cast<std::size_t>(k)] == mask) return k;
+    }
+  }
 
   /// Summed coupling coefficient of group k for input sample x:
   ///   sum_i c~_i (-1)^{popcount(x & yz_i)}.

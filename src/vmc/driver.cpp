@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-
 #include <memory>
 
 #include "common/logging.hpp"
@@ -83,8 +80,6 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
     // iterations, so last iteration's measurement predicts this one's cost).
     TermCostModel costModel;
     std::uint64_t bytesAllIterations = 0;
-    // Set NNQS_TRACE=1 to stream per-stage progress of every iteration.
-    const bool trace = std::getenv("NNQS_TRACE") != nullptr;
     // N_s schedule (paper §4.1): pretrain at the initial value, then double
     // every growEvery iterations — but only while the global unique count
     // stays inside the budget.  All ranks see the same gathered N_u, so the
@@ -126,7 +121,6 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       // commBytesPerIteration counts exactly the algorithmic collectives.
       comm.resetByteCounter();
       Timer t0;
-      if (trace) std::fprintf(stderr, "[it %d] sampling...\n", iter);
       // --- Stage 1: parallel batch autoregressive sampling ---------------
       nqs::SamplerOptions sOpts;
       sOpts.nSamples = nsCurrent;
@@ -135,7 +129,6 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       const nqs::SampleSet& local = sampler.sweep(
           sOpts, rank, nRanks,
           opts.uniqueThresholdPerRank * static_cast<std::uint64_t>(nRanks));
-      if (trace) std::fprintf(stderr, "[it %d] sampled Nu=%zu W=%llu\n", iter, local.nUnique(), (unsigned long long)local.totalWeight());
       // psi of the local chunk (inference).  A fused sweep already produced
       // ln|Psi| as a sampling by-product, leaving only the phase MLP to run;
       // otherwise fall back to the separate teacher-forced evaluate pass.
@@ -179,7 +172,6 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
           (opts.maxUniqueSamples == 0 || 2 * lut.size() <= opts.maxUniqueSamples))
         nsCurrent = std::min(nsCurrent * 2, opts.nSamples);
 
-      if (trace) std::fprintf(stderr, "[it %d] gathered %zu\n", iter, all.size());
       // --- Stage 3: local energies of a term-balanced chunk ---------------
       // The gathered set is tiled and the tiles are dealt to ranks — by last
       // iteration's measured per-sample term counts (LPT bin-packing) once a
@@ -266,7 +258,6 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       const Real variance = acc[2] / wTot - std::norm(eMean);
       phases.other += t3.seconds();
 
-      if (trace) std::fprintf(stderr, "[it %d] eloc done E=%f\n", iter, eMean.real());
       // --- Stage 5: backward on the own chunk -----------------------------
       Timer t4;
       // The loss seeds depend only on eloc/eMean/weights, so they are
@@ -285,7 +276,6 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       net.evaluateGrad(local.samples, dLogAmp, dPhase);
       phases.gradient += t4.seconds();
 
-      if (trace) std::fprintf(stderr, "[it %d] backward done\n", iter);
       // --- Stage 6: Allreduce gradients + identical optimizer step --------
       Timer t5;
       net.flattenGradients(grads);
@@ -336,13 +326,13 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
           if (ex.eloc == ElocMode::kBatched)
             log::info(
                 "vmc it=%4d E=%.8f var=%.3e Nu=%zu Ns=%llu "
-                "eloc[probes=%llu hits=%llu dedup=%.0f%% tileTerms=%llu..%llu] "
+                "eloc[pairs=%llu survivors=%llu hits=%llu tileTerms=%llu..%llu] "
                 "rankTerms=%llu..%llu",
                 iter, eMean.real(), variance, lut.size(),
                 static_cast<unsigned long long>(sOpts.nSamples),
+                static_cast<unsigned long long>(elocStats.pairsScanned),
                 static_cast<unsigned long long>(elocStats.lutProbes),
                 static_cast<unsigned long long>(elocStats.lutHits),
-                100.0 * elocStats.dedupFraction(),
                 static_cast<unsigned long long>(elocStats.tileTermsMin),
                 static_cast<unsigned long long>(elocStats.tileTermsMax),
                 static_cast<unsigned long long>(res.rankTermsMin),

@@ -1,51 +1,40 @@
 // Batched SIMD local-energy engine.  See eloc_kernels.hpp for the contract.
 //
-// Work decomposition: samples are cut into tiles of `sampleBlock` rows; each
-// tile walks the Hamiltonian's unique-XY groups in blocks of `termBlock`
-// columns.  Per (tile, term-block):
+// Work decomposition: samples are cut into tiles of `sampleBlock` rows.  Per
+// tile:
 //
-//   1. Probe generation — batched XOR of the tile's samples with each group
-//      mask (common/bits.hpp kernels), then a membership prefilter: an
-//      8-bytes-per-key hash bitset built from the LUT keys once per call.
-//      A clear bit is a *guaranteed* miss (no false negatives), so the
-//      sample-aware regime's dominant population — coupled states outside S,
-//      typically >90% of the enumerated terms — is retired with one L1 load
-//      each and never enters the sort.  Survivors (hits plus the bitset's
-//      few-percent false positives) are compacted into the probe buffer.
-//   2. Sorted batched probes — sort the block's (key, slot) pairs, then
-//      merge-join the ascending unique keys against the ascending LUT keys
-//      with a galloping lower bound (both sides monotone, so the LUT cursor
-//      only moves forward; runs of equal keys are probed ONCE — the
-//      cross-sample term dedup).  This replaces termBlock*sampleBlock
-//      independent binary searches (each a dependent-load chain over the
-//      full LUT) with one cache-resident sort and a single forward sweep.
-//   3. Accumulation — for each group, gather the rows whose coupled state
-//      was found, evaluate the group's premultiplied coefficients for those
-//      rows in one batched sign-stream pass (PackedHamiltonian::
-//      groupCoefficients), and accumulate coef * psi(x') / psi(x) per row.
-//      Groups are walked in ascending order, so every sample receives its
-//      surviving terms in exactly the kSaFuseLut order: per-sample E_loc is
-//      bit-identical to the scalar engine.
+//   1. Pair scan — for each tile sample x, batch::flipDistanceScan walks the
+//      split lo/hi words of every LUT key x' and keeps the pairs with
+//      popcount(x ^ x') <= PackedHamiltonian::maxFlip (a Hamiltonian string
+//      flips at most maxFlip qubits, so no coupled state lies farther away).
+//      Each survivor's mask x ^ x' is looked up in the pack-time
+//      mask -> group index; a found group is a hit (group, row, LUT index).
+//      The work is n x |S| cheap integer operations instead of n x nGroups
+//      hashed probes, and in the sample-aware regime |S| is small next to
+//      nGroups for every molecule beyond the smallest.
+//   2. Ordering — the tile's hits are sorted by (group, row).  Each
+//      (sample, group) pair has at most one coupled state, so the order is
+//      total and the result independent of how the hits were found.
+//   3. Accumulation — for each group, gather the rows it hit, evaluate the
+//      group's premultiplied coefficients for those rows in one batched
+//      sign-stream pass (PackedHamiltonian::groupCoefficients), and
+//      accumulate coef * psi(x') / psi(x) per row.  Groups are walked in
+//      ascending order, so every sample receives its terms in exactly the
+//      kSaFuseLut order: per-sample E_loc is bit-identical to the scalar
+//      engine.  The diagonal group, hit by every sample, carries most of the
+//      coefficient work and runs as one pass over the whole tile.
 //
 // Scheduling: tiles are an OpenMP loop under schedule(dynamic, 1) — the
 // Fugaku-identified imbalance is *term* work (hits per sample vary wildly
-// across the sample set even though every sample enumerates the same
-// groups), so idle threads steal whole tiles as they drain instead of
-// owning a fixed sample range.  ElocStats records the realized per-tile
-// term counts (min/max) to expose residual imbalance; the same measured
-// term counts are what a rank-level repartitioner must balance (ROADMAP,
-// MPI direction).
-//
-// When nQubits + slotBits <= 64 the (key, slot) pair packs into a single
-// uint64 ((key << slotBits) | slot) and the sort runs on plain integers —
-// the common fast path for every molecule up to ~48 spin orbitals; wider
-// systems use the generic Bits128 pair path.
+// across the sample set), so idle threads steal whole tiles as they drain
+// instead of owning a fixed sample range.  ElocStats records the realized
+// per-tile term counts (min/max) to expose residual imbalance; the same
+// measured term counts are what the rank-level repartitioner balances.
 
 #include "vmc/eloc_kernels.hpp"
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -60,25 +49,23 @@ namespace nnqs::vmc {
 namespace {
 
 constexpr std::size_t kDefaultSampleBlock = 64;
-/// Target (key, slot) pairs sorted per term block: 8192 * 8..24 bytes stays
-/// comfortably L2-resident next to the tile's LUT traffic.
-constexpr std::size_t kProbeBudget = 8192;
 
-/// (key, slot) probe of the generic (>64-qubit-window) path.
-struct Probe {
-  Bits128 key;
-  std::uint32_t slot = 0;
+/// A coupled state of a tile sample found in S.
+struct Hit {
+  std::uint64_t order;  ///< (group << 32) | tile row: the accumulation order
+  std::int32_t lutIdx;  ///< LUT index of the coupled state
 };
 
-/// Per-thread tile workspace.  All buffer sizes depend only on the block
-/// geometry, so one warm call sizes every vector to its steady state and the
-/// warm path never allocates (thread_local lifetime, like the kernel scratch
-/// in nn/kernels/dispatch.cpp).
+/// Per-thread tile workspace.  All buffer sizes depend only on the tile
+/// geometry, |S| and nGroups, so one warm call sizes every vector to its
+/// steady state and the warm path never allocates (thread_local lifetime,
+/// like the kernel scratch in nn/kernels/dispatch.cpp).
 struct TileWs {
-  std::vector<std::uint64_t> probes64;  ///< packed path: (key<<slotBits)|slot
-  std::vector<Probe> probes;            ///< generic path
-  std::vector<std::int32_t> hitIdx;     ///< [cols*rows] LUT index or -1
-  std::vector<Bits128> xp;              ///< [rows] coupled states of one group
+  std::vector<std::uint32_t> survivors;  ///< [|S|] scan output of one sample
+  /// The tile's hits.  Capacity for the worst case rows * min(nGroups, |S|)
+  /// is reserved, so push_back never reallocates; only the pages actually
+  /// written are touched.
+  std::vector<Hit> hits;
   std::vector<Bits128> xsHit;           ///< [rows] gathered hit samples
   std::vector<std::int32_t> rowHit;     ///< [rows] tile row of each hit
   std::vector<std::int32_t> psiIdxHit;  ///< [rows] LUT index of each hit
@@ -86,15 +73,9 @@ struct TileWs {
   std::vector<unsigned char> parity;    ///< [rows] sign-stream scratch
   std::vector<Complex> psiX;            ///< [rows] psi of the tile's samples
 
-  void ensure(std::size_t rows, std::size_t cols, bool packedKeys) {
-    const std::size_t nP = rows * cols;
-    if (packedKeys) {
-      if (probes64.size() < nP) probes64.resize(nP);
-    } else {
-      if (probes.size() < nP) probes.resize(nP);
-    }
-    if (hitIdx.size() < nP) hitIdx.resize(nP);
-    if (xp.size() < rows) xp.resize(rows);
+  void ensure(std::size_t rows, std::size_t nKeys, std::size_t nGroups) {
+    if (survivors.size() < nKeys) survivors.resize(nKeys);
+    hits.reserve(rows * std::min(nGroups, nKeys));
     if (xsHit.size() < rows) xsHit.resize(rows);
     if (rowHit.size() < rows) rowHit.resize(rows);
     if (psiIdxHit.size() < rows) psiIdxHit.resize(rows);
@@ -109,105 +90,6 @@ TileWs& tileWs() {
   return ws;
 }
 
-/// Stafford mix13 over both words: the bit index of a key in the prefilter.
-inline std::uint64_t hashKey(Bits128 k) {
-  std::uint64_t h = k.lo * 0x9E3779B97F4A7C15ull +
-                    k.hi * 0xC2B2AE3D27D4EB4Full;
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ull;
-  h ^= h >> 27;
-  h *= 0x94D049BB133111EBull;
-  h ^= h >> 31;
-  return h;
-}
-
-/// Galloping lower bound for `key` in keys[from, n) (keys ascending).  The
-/// merge-join calls this with monotonically nondecreasing keys, so `from`
-/// only moves forward and the exponential probe is O(log gap) per key.
-template <typename KeyLess>
-std::size_t gallopLowerBound(std::size_t from, std::size_t n,
-                             const KeyLess& keyLess) {
-  std::size_t lo = from;
-  if (lo >= n || !keyLess(lo)) return lo;
-  std::size_t step = 1;
-  while (lo + step < n && keyLess(lo + step)) {
-    lo += step;
-    step <<= 1;
-  }
-  std::size_t hi = std::min(lo + step, n);
-  ++lo;  // keys[lo] < key already established
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (keyLess(mid))
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  return lo;
-}
-
-struct TileStats {
-  std::uint64_t filterRejected = 0, lutProbes = 0, dedupedProbes = 0,
-                lutHits = 0, coeffTerms = 0;
-};
-
-/// Probe phase on packed uint64 keys.  Returns probe/dedup/hit counts.
-void probePacked(TileWs& ws, std::size_t nP, unsigned slotBits,
-                 const WavefunctionLut& lut, TileStats& st) {
-  std::uint64_t* pr = ws.probes64.data();
-  std::sort(pr, pr + nP);
-  const std::size_t nS = lut.size();
-  const Bits128* keys = lut.keys.data();
-  std::size_t lutPos = 0, p = 0;
-  while (p < nP) {
-    const std::uint64_t key = pr[p] >> slotBits;
-    lutPos = gallopLowerBound(lutPos, nS,
-                              [&](std::size_t i) { return keys[i].lo < key; });
-    const std::int32_t idx = (lutPos < nS && keys[lutPos].lo == key)
-                                 ? static_cast<std::int32_t>(lutPos)
-                                 : -1;
-    const std::uint64_t slotMask = (std::uint64_t{1} << slotBits) - 1;
-    std::size_t run = p;
-    do {
-      ws.hitIdx[pr[run] & slotMask] = idx;
-      ++run;
-    } while (run < nP && (pr[run] >> slotBits) == key);
-    ++st.lutProbes;
-    st.dedupedProbes += run - p - 1;
-    if (idx >= 0) st.lutHits += run - p;
-    p = run;
-  }
-}
-
-/// Probe phase on (Bits128, slot) pairs — systems too wide for packed keys.
-void probeGeneric(TileWs& ws, std::size_t nP, const WavefunctionLut& lut,
-                  TileStats& st) {
-  Probe* pr = ws.probes.data();
-  std::sort(pr, pr + nP, [](const Probe& a, const Probe& b) {
-    return a.key < b.key || (a.key == b.key && a.slot < b.slot);
-  });
-  const std::size_t nS = lut.size();
-  const Bits128* keys = lut.keys.data();
-  std::size_t lutPos = 0, p = 0;
-  while (p < nP) {
-    const Bits128 key = pr[p].key;
-    lutPos = gallopLowerBound(lutPos, nS,
-                              [&](std::size_t i) { return keys[i] < key; });
-    const std::int32_t idx = (lutPos < nS && keys[lutPos] == key)
-                                 ? static_cast<std::int32_t>(lutPos)
-                                 : -1;
-    std::size_t run = p;
-    do {
-      ws.hitIdx[pr[run].slot] = idx;
-      ++run;
-    } while (run < nP && pr[run].key == key);
-    ++st.lutProbes;
-    st.dedupedProbes += run - p - 1;
-    if (idx >= 0) st.lutHits += run - p;
-    p = run;
-  }
-}
-
 }  // namespace
 
 void localEnergiesBatched(const ops::PackedHamiltonian& packed,
@@ -218,21 +100,14 @@ void localEnergiesBatched(const ops::PackedHamiltonian& packed,
   if (stats != nullptr) *stats = ElocStats{};
   const std::size_t n = samples.size();
   if (n == 0) return;
-  if (lut.size() >
-      static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()))
+  const std::size_t nS = lut.size();
+  if (nS > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()))
     throw std::invalid_argument("localEnergiesBatched: LUT too large");
 
   const std::size_t nGroups = packed.nGroups();
   const std::size_t rowsCap =
       std::max<std::size_t>(1, opts.sampleBlock != 0 ? opts.sampleBlock
                                                      : kDefaultSampleBlock);
-  const std::size_t colsCap = std::max<std::size_t>(
-      1, opts.termBlock != 0 ? opts.termBlock
-                             : kProbeBudget / std::min(rowsCap, kProbeBudget));
-  // Packed-key path: key and slot must share a uint64.
-  const auto slotBits = static_cast<unsigned>(
-      std::bit_width(std::max<std::size_t>(1, rowsCap * colsCap - 1)));
-  const bool packedKeys = packed.nQubits + static_cast<int>(slotBits) <= 64;
   const std::size_t nTiles = (n + rowsCap - 1) / rowsCap;
 
   int nThreads = 1;
@@ -240,21 +115,20 @@ void localEnergiesBatched(const ops::PackedHamiltonian& packed,
   nThreads = opts.maxThreads > 0 ? opts.maxThreads : omp_get_max_threads();
 #endif
 
-  // Membership prefilter over S: one bit per hash slot, sized to ~1/16 fill
-  // (false-positive rate a few percent), built once per call and shared
-  // read-only by the whole team.  Persistent per calling thread so the warm
-  // path stays allocation-free.
-  static thread_local std::vector<std::uint64_t> filterWords;
-  unsigned filterLogBits = 10;
-  while ((std::size_t{1} << filterLogBits) < 16 * lut.size()) ++filterLogBits;
-  const std::size_t nWords = (std::size_t{1} << filterLogBits) / 64;
-  if (filterWords.size() < nWords) filterWords.resize(nWords);
-  std::fill(filterWords.begin(), filterWords.begin() + nWords, 0);
-  for (const Bits128& key : lut.keys) {
-    const std::uint64_t bit = hashKey(key) >> (64 - filterLogBits);
-    filterWords[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+  // Split word arrays of the LUT keys, the flip scan's input: built once per
+  // call, shared read-only by the whole team, persistent per calling thread
+  // so the warm path stays allocation-free.
+  static thread_local std::vector<std::uint64_t> keysLoBuf, keysHiBuf;
+  if (keysLoBuf.size() < nS) {
+    keysLoBuf.resize(nS);
+    keysHiBuf.resize(nS);
   }
-  const std::uint64_t* filter = filterWords.data();
+  for (std::size_t j = 0; j < nS; ++j) {
+    keysLoBuf[j] = lut.keys[j].lo;
+    keysHiBuf[j] = lut.keys[j].hi;
+  }
+  const std::uint64_t* keysLo = keysLoBuf.data();
+  const std::uint64_t* keysHi = keysHiBuf.data();
 
   ElocStats total;
   total.samples = n;
@@ -269,7 +143,7 @@ void localEnergiesBatched(const ops::PackedHamiltonian& packed,
     // workspace on the first call even if dynamic scheduling assigns it no
     // tile — the zero-allocation warm path is then thread-schedule-proof.
     TileWs& ws = tileWs();
-    ws.ensure(rowsCap, colsCap, packedKeys);
+    ws.ensure(rowsCap, nS, nGroups);
     ElocStats local;
     local.tileTermsMin = std::numeric_limits<std::uint64_t>::max();
 
@@ -296,89 +170,75 @@ void localEnergiesBatched(const ops::PackedHamiltonian& packed,
       }
       if (!tileOk) continue;
 
-      TileStats tileSt;
-      for (std::size_t k0 = 0; k0 < nGroups; k0 += colsCap) {
-        const std::size_t cols = std::min(colsCap, nGroups - k0);
-
-        // 1. Probe keys, group-major over the tile's sample order.  The
-        //    prefilter retires definite misses on the spot; only survivors
-        //    are compacted into the probe buffer for the sort + join.
-        std::size_t nKept = 0;
-        for (std::size_t c = 0; c < cols; ++c) {
-          batch::xorMask(xs, rows, packed.xyUnique[k0 + c], ws.xp.data());
-          const std::size_t base = c * rows;
-          for (std::size_t r = 0; r < rows; ++r) {
-            const Bits128 key = ws.xp[r];
-            const std::uint64_t bit = hashKey(key) >> (64 - filterLogBits);
-            if (((filter[bit >> 6] >> (bit & 63)) & 1) == 0) {
-              ws.hitIdx[base + r] = -1;  // guaranteed miss, never sorted
-              ++tileSt.filterRejected;
-              continue;
-            }
-            if (packedKeys)
-              ws.probes64[nKept++] = (key.lo << slotBits) | (base + r);
-            else
-              ws.probes[nKept++] = {key,
-                                    static_cast<std::uint32_t>(base + r)};
-          }
-        }
-
-        // 2. Sort + merge-join against the LUT (dedup: equal keys probe once).
-        if (packedKeys)
-          probePacked(ws, nKept, slotBits, lut, tileSt);
-        else
-          probeGeneric(ws, nKept, lut, tileSt);
-
-        // 3. Batched coefficients + ascending-group accumulation.
-        for (std::size_t c = 0; c < cols; ++c) {
-          const std::size_t base = c * rows;
-          std::size_t m = 0;
-          for (std::size_t r = 0; r < rows; ++r) {
-            const std::int32_t idx = ws.hitIdx[base + r];
-            if (idx < 0) continue;
-            ws.xsHit[m] = xs[r];
-            ws.rowHit[m] = static_cast<std::int32_t>(r);
-            ws.psiIdxHit[m] = idx;
-            ++m;
-          }
-          if (m == 0) continue;
-          const std::size_t k = k0 + c;
-          packed.groupCoefficients(k, ws.xsHit.data(), m, ws.coefs.data(),
-                                   ws.parity.data());
-          const auto groupTerms =
-              static_cast<std::uint64_t>(packed.idxs[k + 1] - packed.idxs[k]);
-          tileSt.coeffTerms += static_cast<std::uint64_t>(m) * groupTerms;
-          if (termsPerSample != nullptr)
-            for (std::size_t j = 0; j < m; ++j)
-              termsPerSample[i0 + static_cast<std::size_t>(ws.rowHit[j])] +=
-                  groupTerms;
-          for (std::size_t j = 0; j < m; ++j) {
-            const Real coef = ws.coefs[j];
-            if (coef == 0.0) continue;
-            const auto r = static_cast<std::size_t>(ws.rowHit[j]);
-            out[i0 + r] += coef *
-                           lut.psi[static_cast<std::size_t>(ws.psiIdxHit[j])] /
-                           ws.psiX[r];
-          }
+      // 1. Pair scan: survivors of the flip-distance test, then the mask
+      //    index decides which of them a Hamiltonian group couples.
+      ws.hits.clear();
+      std::uint64_t tileSurvivors = 0;
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::size_t m = batch::flipDistanceScan(
+            xs[r], keysLo, keysHi, nS, packed.maxFlip, ws.survivors.data());
+        tileSurvivors += m;
+        for (std::size_t c = 0; c < m; ++c) {
+          const std::uint32_t j = ws.survivors[c];
+          const std::int32_t k = packed.groupOf(xs[r] ^ lut.keys[j]);
+          if (k >= 0)
+            ws.hits.push_back({(static_cast<std::uint64_t>(k) << 32) | r,
+                               static_cast<std::int32_t>(j)});
         }
       }
 
+      // 2. Ascending (group, row) order.
+      std::sort(ws.hits.begin(), ws.hits.end(),
+                [](const Hit& a, const Hit& b) { return a.order < b.order; });
+
+      // 3. Batched coefficients + ascending-group accumulation.
+      std::uint64_t tileTerms = 0;
+      const std::size_t nHits = ws.hits.size();
+      for (std::size_t h = 0; h < nHits;) {
+        const std::size_t k = ws.hits[h].order >> 32;
+        std::size_t m = 0;
+        for (; h < nHits && (ws.hits[h].order >> 32) == k; ++h, ++m) {
+          const auto r = static_cast<std::uint32_t>(ws.hits[h].order);
+          ws.xsHit[m] = xs[r];
+          ws.rowHit[m] = static_cast<std::int32_t>(r);
+          ws.psiIdxHit[m] = ws.hits[h].lutIdx;
+        }
+        packed.groupCoefficients(k, ws.xsHit.data(), m, ws.coefs.data(),
+                                 ws.parity.data());
+        const auto groupTerms =
+            static_cast<std::uint64_t>(packed.idxs[k + 1] - packed.idxs[k]);
+        tileTerms += static_cast<std::uint64_t>(m) * groupTerms;
+        if (termsPerSample != nullptr)
+          for (std::size_t j = 0; j < m; ++j)
+            termsPerSample[i0 + static_cast<std::size_t>(ws.rowHit[j])] +=
+                groupTerms;
+        for (std::size_t j = 0; j < m; ++j) {
+          const Real coef = ws.coefs[j];
+          if (coef == 0.0) continue;
+          const auto r = static_cast<std::size_t>(ws.rowHit[j]);
+          out[i0 + r] += coef *
+                         lut.psi[static_cast<std::size_t>(ws.psiIdxHit[j])] /
+                         ws.psiX[r];
+        }
+      }
+
+      const auto tilePairs = static_cast<std::uint64_t>(rows) * nS;
       local.termsEnumerated += static_cast<std::uint64_t>(rows) * nGroups;
-      local.filterRejected += tileSt.filterRejected;
-      local.lutProbes += tileSt.lutProbes;
-      local.dedupedProbes += tileSt.dedupedProbes;
-      local.lutHits += tileSt.lutHits;
-      local.coeffTerms += tileSt.coeffTerms;
-      local.tileTermsMin = std::min(local.tileTermsMin, tileSt.coeffTerms);
-      local.tileTermsMax = std::max(local.tileTermsMax, tileSt.coeffTerms);
+      local.pairsScanned += tilePairs;
+      local.filterRejected += tilePairs - tileSurvivors;
+      local.lutProbes += tileSurvivors;
+      local.lutHits += nHits;
+      local.coeffTerms += tileTerms;
+      local.tileTermsMin = std::min(local.tileTermsMin, tileTerms);
+      local.tileTermsMax = std::max(local.tileTermsMax, tileTerms);
     }
 
 #pragma omp critical(nnqs_eloc_stats)
     {
       total.termsEnumerated += local.termsEnumerated;
+      total.pairsScanned += local.pairsScanned;
       total.filterRejected += local.filterRejected;
       total.lutProbes += local.lutProbes;
-      total.dedupedProbes += local.dedupedProbes;
       total.lutHits += local.lutHits;
       total.coeffTerms += local.coeffTerms;
       total.tileTermsMin = std::min(total.tileTermsMin, local.tileTermsMin);

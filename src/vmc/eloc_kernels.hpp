@@ -1,18 +1,19 @@
 #pragma once
 
 // Batched SIMD local-energy engine (ElocMode::kBatched): the kernels-style
-// backend behind vmc::localEnergies.  Tiles the (sample, Hamiltonian-group)
-// work, applies XY masks with the batched Bits128 kernels, rejects the bulk
-// of the coupled states (definite LUT misses) with an exact-negative hash
-// bitset built from S, replaces the per-coupled-state binary search of the
-// survivors with sorted merge-join probes against the ascending
-// WavefunctionLut keys, and dedups coupled configurations shared across the
-// samples of a tile so each unique x' costs one probe.
+// backend behind vmc::localEnergies.  Sample-aware evaluation only needs the
+// coupled states x' that are in S, so instead of applying every Hamiltonian
+// group's XY mask and searching S for the result (n x nGroups probes), the
+// engine scans S itself: per sample x, a SIMD flip-distance scan
+// (batch::flipDistanceScan) keeps the keys x' with popcount(x ^ x') <=
+// PackedHamiltonian::maxFlip, and each survivor's mask x ^ x' is looked up
+// in the pack-time mask -> group index (PackedHamiltonian::groupOf).  The
+// hits are accumulated group by group with batched coefficient passes.
 //
 // Numerical contract: per-sample E_loc is *identical* (tolerance 0) to
-// ElocMode::kSaFuseLut — each sample accumulates its surviving terms in the
-// same ascending-group order with the same arithmetic; only the probe
-// strategy and the loop nesting change.
+// ElocMode::kSaFuseLut — each sample accumulates its terms in the same
+// ascending-group order with the same arithmetic; only the way the coupled
+// states are found and the loop nesting change.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,13 +32,19 @@ struct WavefunctionLut;
 /// scheduling order).
 struct ElocStats {
   std::uint64_t samples = 0;          ///< samples evaluated
-  std::uint64_t termsEnumerated = 0;  ///< (sample, group) pairs enumerated
-  /// Candidate probes rejected by the membership prefilter (definite LUT
-  /// misses — never sorted or joined).  With the sample-aware hit rate of a
-  /// few percent, this is the bulk of the enumerated terms.
+  /// (sample, group) pairs decided: samples x nGroups, the work a per-group
+  /// probe engine would do.  The denominator of the hit ratio.
+  std::uint64_t termsEnumerated = 0;
+  std::uint64_t pairsScanned = 0;     ///< (sample, LUT key) pairs: samples x |S|
+  /// Scanned pairs rejected by flip distance (popcount(x ^ x') > maxFlip):
+  /// never looked up.  The bulk of pairsScanned.
   std::uint64_t filterRejected = 0;
-  std::uint64_t lutProbes = 0;        ///< unique probe keys merge-joined
-  std::uint64_t dedupedProbes = 0;    ///< probes saved by cross-sample dedup
+  /// Scan survivors looked up in the mask -> group index;
+  /// filterRejected + lutProbes == pairsScanned.
+  std::uint64_t lutProbes = 0;
+  /// Always 0: the pair scan visits each (sample, x') pair once, so there is
+  /// no duplicate probe to save.  Kept for readers of the counter set.
+  std::uint64_t dedupedProbes = 0;
   std::uint64_t lutHits = 0;          ///< (sample, group) pairs found in S
   std::uint64_t coeffTerms = 0;       ///< Pauli strings sign-evaluated (hits)
   std::uint64_t nTiles = 0;           ///< sample tiles processed
@@ -48,26 +55,21 @@ struct ElocStats {
   std::uint64_t tileTermsMin = 0;
   std::uint64_t tileTermsMax = 0;
 
-  /// Fraction of filter-surviving probes avoided by the in-tile dedup.
-  [[nodiscard]] double dedupFraction() const {
-    const std::uint64_t total = lutProbes + dedupedProbes;
-    return total == 0 ? 0.0
-                      : static_cast<double>(dedupedProbes) /
-                            static_cast<double>(total);
+  /// Fraction of scanned pairs that survive the flip-distance test.
+  [[nodiscard]] double survivorFraction() const {
+    return pairsScanned == 0 ? 0.0
+                             : static_cast<double>(lutProbes) /
+                                   static_cast<double>(pairsScanned);
   }
 };
 
-/// Tuning knobs of the batched engine.  Defaults are chosen so a tile's
-/// probe buffer stays L2-resident; tests shrink the blocks to exercise
+/// Tuning knobs of the batched engine.  Tests shrink the tile to exercise
 /// tile-boundary and ragged-tail paths at small sample counts.
 struct ElocBatchedOptions {
   /// Samples per tile (the OpenMP scheduling unit); 0 = default (64).  The
-  /// tile is the dedup scope: larger blocks find more shared coupled
-  /// configurations at the price of a larger sort.
+  /// tile is the batch of every group's coefficient pass — the diagonal
+  /// group, which every sample hits, carries most of the coefficient work.
   std::size_t sampleBlock = 0;
-  /// Hamiltonian groups per probe block; 0 = default (probe-budget /
-  /// sampleBlock, i.e. ~8192 probes sorted per block).
-  std::size_t termBlock = 0;
   /// Cap on the OpenMP team size; 0 = the OpenMP default.  The bench uses 1
   /// to report a single-core median next to the threaded one.
   int maxThreads = 0;
@@ -77,9 +79,9 @@ struct ElocBatchedOptions {
 /// hold samples.size() entries).  Every sample must be present in the LUT
 /// (sample-aware evaluation over a chunk of S, as in the other SA engines);
 /// throws std::invalid_argument otherwise.  After one warm call per thread
-/// with the same block geometry, subsequent calls perform zero heap
-/// allocations (persistent per-thread tile workspaces, in-place sort,
-/// caller-owned output) — asserted by BM_ElocBatched.
+/// with the same tile geometry and |S|, subsequent calls perform zero heap
+/// allocations (persistent per-thread tile workspaces and split-key arrays,
+/// in-place sort, caller-owned output) — asserted by BM_ElocBatched.
 /// `termsPerSample` (optional, samples.size() entries, caller-owned like
 /// `out`) receives each sample's realized term count (its share of
 /// ElocStats::coeffTerms) — deterministic across thread counts; the measured

@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bits.hpp"
+#include "common/bits_batch_impl.hpp"
 
 using nnqs::Bits128;
 
@@ -83,15 +85,10 @@ TEST(BitsBatch, DispatchedKernelsMatchScalarReference) {
     for (auto& x : xs) x = Bits128{next(), next()};
     const Bits128 mask{next(), next()};
 
-    std::vector<Bits128> outRef(n), outDisp(n);
-    nnqs::batch::xorMaskScalar(xs.data(), n, mask, outRef.data());
-    nnqs::batch::xorMask(xs.data(), n, mask, outDisp.data());
     std::vector<unsigned char> pRef(n), pDisp(n);
     nnqs::batch::parityAndMaskScalar(xs.data(), n, mask, pRef.data());
     nnqs::batch::parityAndMask(xs.data(), n, mask, pDisp.data());
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(outRef[i], outDisp[i]) << "n=" << n << " i=" << i;
-      EXPECT_EQ(outRef[i], xs[i] ^ mask);
       EXPECT_EQ(pRef[i], pDisp[i]) << "n=" << n << " i=" << i;
       EXPECT_EQ(static_cast<int>(pRef[i]), nnqs::parityAnd(xs[i], mask));
     }
@@ -102,6 +99,60 @@ TEST(BitsBatch, BackendNameIsNonEmpty) {
   const char* name = nnqs::batch::backendName();
   ASSERT_NE(name, nullptr);
   EXPECT_GT(std::string(name).size(), 0u);
+}
+
+TEST(BitsBatch, FlipScanBackendsMatchScalarReference) {
+  // Every available flip-scan backend (and the dispatched entry point) must
+  // return the scalar reference's candidate list exactly: same indices, same
+  // ascending order, for every key count (vector bodies and ragged tails)
+  // and flip bound.  Keys are x with 0..10 random flips spread over both
+  // words, plus fully random keys, so every bound has hits and misses.  The
+  // arrays carry 8 copies of x past the n scanned keys: a backend that lets
+  // its tail read beyond n reports them as survivors.
+  std::uint64_t state = 0x13198A2E03707344ull;  // splitmix64
+  auto next = [&state]() {
+    state += 0x9E3779B97F4A7C15ull;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  using nnqs::batch::detail::FlipScanFn;
+  std::vector<std::pair<const char*, FlipScanFn>> backends = {
+      {"dispatched", &nnqs::batch::flipDistanceScan}};
+  if (const FlipScanFn f = nnqs::batch::detail::avx2Backend().flipScan)
+    backends.emplace_back("avx2", f);
+  if (const FlipScanFn f = nnqs::batch::detail::avx512Backend().flipScan)
+    backends.emplace_back("avx512", f);
+
+  for (const std::size_t n : {0, 1, 7, 8, 9, 1000}) {
+    const Bits128 x{next(), next()};
+    std::vector<std::uint64_t> lo(n + 8, x.lo), hi(n + 8, x.hi);
+    for (std::size_t j = 0; j < n; ++j) {
+      Bits128 key{next(), next()};
+      if (j % 4 != 0) {
+        key = x;
+        for (std::uint64_t f = next() % 11; f > 0; --f) key.flip(next() % 128);
+      }
+      lo[j] = key.lo;
+      hi[j] = key.hi;
+    }
+    for (int maxFlip = 0; maxFlip <= 8; ++maxFlip) {
+      std::vector<std::uint32_t> ref(n);
+      ref.resize(nnqs::batch::flipDistanceScanScalar(x, lo.data(), hi.data(),
+                                                     n, maxFlip, ref.data()));
+      std::vector<std::uint32_t> naive;
+      for (std::size_t j = 0; j < n; ++j)
+        if ((x ^ Bits128{lo[j], hi[j]}).popcount() <= maxFlip)
+          naive.push_back(static_cast<std::uint32_t>(j));
+      EXPECT_EQ(ref, naive) << "n=" << n << " maxFlip=" << maxFlip;
+      for (const auto& [name, scan] : backends) {
+        std::vector<std::uint32_t> got(n);
+        got.resize(scan(x, lo.data(), hi.data(), n, maxFlip, got.data()));
+        EXPECT_EQ(got, ref) << name << " n=" << n << " maxFlip=" << maxFlip;
+      }
+    }
+  }
 }
 
 class Bits128Param : public ::testing::TestWithParam<int> {};

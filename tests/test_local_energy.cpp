@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -59,6 +60,28 @@ nqs::QiankunNet netFor(const System& s, std::uint64_t seed = 9) {
   cfg.phaseHiddenLayers = 1;
   cfg.seed = seed;
   return nqs::QiankunNet(cfg);
+}
+
+/// (sample, group) pairs whose coupled state x ^ xyUnique[k] is in S.
+std::uint64_t bruteForceHits(const ops::PackedHamiltonian& packed,
+                             const std::vector<Bits128>& samples,
+                             const WavefunctionLut& lut) {
+  std::uint64_t hits = 0;
+  for (const Bits128& x : samples)
+    for (const Bits128& mask : packed.xyUnique)
+      hits += lut.find(x ^ mask) != nullptr ? 1 : 0;
+  return hits;
+}
+
+/// The batched engine's pair-scan counters: every (sample, key) pair is
+/// either rejected by flip distance or looked up, and the hits are exactly
+/// the brute-force (sample, group) count.
+void expectPairCounters(const ElocStats& stats, std::size_t n,
+                        std::size_t nKeys, std::uint64_t bruteHits) {
+  EXPECT_EQ(stats.pairsScanned, static_cast<std::uint64_t>(n) * nKeys);
+  EXPECT_EQ(stats.filterRejected + stats.lutProbes, stats.pairsScanned);
+  EXPECT_LE(stats.lutHits, stats.lutProbes);
+  EXPECT_EQ(stats.lutHits, bruteHits);
 }
 
 }  // namespace
@@ -128,7 +151,7 @@ TEST(LocalEnergy, AllEnginesAgreeOnFullSupport) {
 
 TEST(LocalEnergy, BatchedBitIdenticalAcrossGeometriesAndThreads) {
   // The batched engine must produce bit-identical per-sample E_loc for every
-  // tile geometry (ragged tails, tile-boundary sizes, single-probe blocks)
+  // tile geometry (ragged tails, tile-boundary sizes, single-row tiles)
   // and every thread count — the accumulation order per sample is fixed by
   // the ascending group walk, not by the work decomposition.
   const System s = buildSystem("LiH");
@@ -137,38 +160,35 @@ TEST(LocalEnergy, BatchedBitIdenticalAcrossGeometriesAndThreads) {
   const auto psi = net.psi(sector);
   const auto lut = WavefunctionLut::build(sector, psi);
   const auto ref = localEnergies(s.packed, sector, lut, ElocMode::kSaFuseLut);
+  const std::uint64_t bruteHits = bruteForceHits(s.packed, sector, lut);
 
   std::vector<Complex> out(sector.size());
   for (const std::size_t sampleBlock : {std::size_t{1}, std::size_t{3},
                                         std::size_t{4}, std::size_t{64},
                                         sector.size(), sector.size() + 7}) {
-    for (const std::size_t termBlock : {std::size_t{1}, std::size_t{5},
-                                        std::size_t{0}}) {
-      for (const int maxThreads : {1, 2, 3, 5}) {
-        ElocBatchedOptions opts;
-        opts.sampleBlock = sampleBlock;
-        opts.termBlock = termBlock;
-        opts.maxThreads = maxThreads;
-        ElocStats stats;
-        localEnergiesBatched(s.packed, sector, lut, out.data(), opts, &stats);
-        for (std::size_t i = 0; i < sector.size(); ++i) {
-          ASSERT_EQ(ref[i].real(), out[i].real())
-              << "sampleBlock=" << sampleBlock << " termBlock=" << termBlock
-              << " threads=" << maxThreads << " i=" << i;
-          ASSERT_EQ(ref[i].imag(), out[i].imag());
-        }
-        // Counters are deterministic: independent of threads and tiling
-        // except for the tile-geometry-dependent ones.
-        EXPECT_EQ(stats.samples, sector.size());
-        EXPECT_EQ(stats.termsEnumerated, sector.size() * s.packed.nGroups());
-        EXPECT_GT(stats.lutHits, 0u);
-        EXPECT_LE(stats.lutProbes, stats.termsEnumerated);
+    for (const int maxThreads : {1, 2, 3, 5}) {
+      ElocBatchedOptions opts;
+      opts.sampleBlock = sampleBlock;
+      opts.maxThreads = maxThreads;
+      ElocStats stats;
+      localEnergiesBatched(s.packed, sector, lut, out.data(), opts, &stats);
+      for (std::size_t i = 0; i < sector.size(); ++i) {
+        ASSERT_EQ(ref[i].real(), out[i].real())
+            << "sampleBlock=" << sampleBlock << " threads=" << maxThreads
+            << " i=" << i;
+        ASSERT_EQ(ref[i].imag(), out[i].imag());
       }
+      // Counters are deterministic: independent of threads and tiling
+      // except for the tile-geometry-dependent ones.
+      EXPECT_EQ(stats.samples, sector.size());
+      EXPECT_EQ(stats.termsEnumerated, sector.size() * s.packed.nGroups());
+      EXPECT_GT(stats.lutHits, 0u);
+      expectPairCounters(stats, sector.size(), lut.size(), bruteHits);
     }
   }
 }
 
-TEST(LocalEnergy, BatchedStatsDedupAndDeterminism) {
+TEST(LocalEnergy, BatchedStatsDeterminism) {
   const System s = buildSystem("LiH");
   nqs::QiankunNet net = netFor(s);
   const auto sector = numberSector(12, 2, 2);
@@ -189,11 +209,102 @@ TEST(LocalEnergy, BatchedStatsDedupAndDeterminism) {
   EXPECT_EQ(one.coeffTerms, two.coeffTerms);
   EXPECT_EQ(one.tileTermsMin, two.tileTermsMin);
   EXPECT_EQ(one.tileTermsMax, two.tileTermsMax);
-  // With 64 samples per tile sharing excitation structure, the in-tile dedup
-  // must fire (same coupled configuration reached from several samples).
-  EXPECT_GT(one.dedupedProbes, 0u);
-  EXPECT_GT(one.dedupFraction(), 0.0);
+  // The pair scan accounts for every (sample, key) pair, and its hits are
+  // exactly the (sample, group) pairs whose coupled state is in S.
+  expectPairCounters(one, sector.size(), lut.size(),
+                     bruteForceHits(s.packed, sector, lut));
   EXPECT_LE(one.tileTermsMin, one.tileTermsMax);
+}
+
+TEST(LocalEnergy, BatchedWideRegisterBitIdentical) {
+  // A synthetic 72-qubit Hamiltonian: XY flips in the hi word and across the
+  // word boundary, and one string flipping 6 qubits, so the engine's flip
+  // bound must come from the Hamiltonian (PackedHamiltonian::maxFlip), not
+  // from the 4 of molecular JW Hamiltonians.  S is closed enough under the
+  // group masks that every kind of group hits.
+  constexpr int kQubits = 72;
+  std::uint64_t state = 0x3C6EF372FE94F82Bull;  // splitmix64
+  auto next = [&state]() {
+    state += 0x9E3779B97F4A7C15ull;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  const Bits128 width = Bits128::lowMask(kQubits);
+  auto bits = [](std::initializer_list<int> qs) {
+    Bits128 b;
+    for (const int q : qs) b.set(q);
+    return b;
+  };
+  const std::vector<Bits128> flips = {
+      Bits128{},                          // diagonal
+      bits({3, 9}),                       // lo word
+      bits({66, 70}),                     // hi word
+      bits({62, 65}),                     // across the word boundary
+      bits({1, 2, 64, 71}),               // 4 flips, both words
+      bits({5, 17, 40, 63, 64, 68}),      // 6 flips: beyond the JW bound
+  };
+  // Y on the two lowest flipped qubits of x: keeps the Y count even.
+  auto lowestTwo = [](Bits128 x) {
+    Bits128 out;
+    for (int q = 0, found = 0; q < 128 && found < 2; ++q)
+      if (x.get(q)) {
+        out.set(q);
+        ++found;
+      }
+    return out;
+  };
+  ops::SpinHamiltonian h;
+  h.nQubits = kQubits;
+  h.constant = -1.25;
+  for (const Bits128& x : flips)
+    for (int t = 0; t < 5; ++t) {
+      const Bits128 notX{~x.lo, ~x.hi};
+      Bits128 z = Bits128{next(), next()} & width & notX;
+      if (t % 2 == 1) z |= lowestTwo(x);
+      h.strings.push_back(ops::PauliString{x, z});
+      h.coeffs.push_back(static_cast<Real>(next() % 2001) / 1000.0 - 1.0);
+    }
+  const auto packed = ops::PackedHamiltonian::fromHamiltonian(h);
+  ASSERT_EQ(packed.maxFlip, 6);
+
+  std::vector<Bits128> samples;
+  for (int base = 0; base < 24; ++base) {
+    const Bits128 x0 = Bits128{next(), next()} & width;
+    samples.push_back(x0);
+    for (std::size_t f = 1; f < flips.size(); ++f)
+      if ((next() & 3) != 0) samples.push_back(x0 ^ flips[f]);
+  }
+  std::sort(samples.begin(), samples.end());
+  samples.erase(std::unique(samples.begin(), samples.end()), samples.end());
+  std::vector<Complex> psi;
+  for (std::size_t i = 0; i < samples.size(); ++i)
+    psi.emplace_back(0.5 + static_cast<Real>(next() % 1000) / 1000.0,
+                     static_cast<Real>(next() % 1000) / 2000.0 - 0.25);
+  const auto lut = WavefunctionLut::build(samples, psi);
+  const auto ref = localEnergies(packed, samples, lut, ElocMode::kSaFuseLut);
+  const std::uint64_t bruteHits = bruteForceHits(packed, samples, lut);
+  ASSERT_GT(bruteHits, samples.size());  // more than the diagonal
+
+  std::vector<Complex> out(samples.size());
+  for (const std::size_t sampleBlock : {std::size_t{1}, std::size_t{3},
+                                        std::size_t{64}, samples.size() + 7}) {
+    for (const int maxThreads : {1, 2, 5}) {
+      ElocBatchedOptions opts;
+      opts.sampleBlock = sampleBlock;
+      opts.maxThreads = maxThreads;
+      ElocStats stats;
+      localEnergiesBatched(packed, samples, lut, out.data(), opts, &stats);
+      for (std::size_t i = 0; i < samples.size(); ++i) {
+        ASSERT_EQ(ref[i].real(), out[i].real())
+            << "sampleBlock=" << sampleBlock << " threads=" << maxThreads
+            << " i=" << i;
+        ASSERT_EQ(ref[i].imag(), out[i].imag());
+      }
+      expectPairCounters(stats, samples.size(), lut.size(), bruteHits);
+    }
+  }
 }
 
 TEST(LocalEnergy, BatchedPartialSectorLutMissPath) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "chem/basis_set.hpp"
 #include "chem/geometry_library.hpp"
 #include "common/rng.hpp"
@@ -57,6 +60,17 @@ TEST(PackedHamiltonian, GroupsPartitionTheStrings) {
   // Unique masks are strictly ordered (deterministic layout).
   for (std::size_t k = 1; k < packed.nGroups(); ++k)
     EXPECT_LT(packed.xyUnique[k - 1], packed.xyUnique[k]);
+  // The mask index inverts xyUnique, and maxFlip is the widest mask (4 for
+  // a molecular JW Hamiltonian).
+  int widest = 0;
+  for (std::size_t k = 0; k < packed.nGroups(); ++k) {
+    EXPECT_EQ(packed.groupOf(packed.xyUnique[k]), static_cast<std::int32_t>(k));
+    widest = std::max(widest, packed.xyUnique[k].popcount());
+  }
+  EXPECT_EQ(packed.maxFlip, widest);
+  EXPECT_EQ(packed.maxFlip, 4);
+  EXPECT_EQ(packed.groupOf(Bits128::lowMask(h.nQubits)), -1);  // all flipped
+  EXPECT_EQ(PackedHamiltonian{}.groupOf(Bits128{}), -1);
 }
 
 TEST(PackedHamiltonian, MemoryReductionAround40Percent) {
