@@ -210,14 +210,14 @@ void BM_BasSweepL32(benchmark::State& state) {
 BENCHMARK(BM_BasSweepL32)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // End-to-end Stage 1 (sampling + ln|Psi| + phase) at the BM_BasSweepL32
-// shape, fused vs separate: Arg 0 runs the pre-fusion pipeline (unfused
-// sweep, then a teacher-forced evaluate over the unique samples), Arg 1 the
-// fused sweep (ln|Psi| falls out of the split conditionals) plus the
-// phase-MLP-only pass.  Both produce bit-identical (samples, logAmp, phase)
-// (tests/test_sweep.cpp); the time ratio is the fusion speedup quoted in the
-// README.  The fused variant doubles as the zero-allocation assertion of the
-// warm tiled sweep, and peakRssMiB records the resident high-water mark
-// (process-wide, so comparable only within one bench invocation).
+// shape, fused vs separate: Arg 0 runs the sweep and then re-derives ln|Psi|
+// with a separate teacher-forced evaluate over the unique samples (ignoring
+// the sweep's SampleSet::logAmp), Arg 1 takes the sweep's ln|Psi| and runs
+// only the phase-MLP pass.  Both produce bit-identical (samples, logAmp,
+// phase) (tests/test_sweep.cpp); the time ratio is the fusion speedup quoted
+// in the README.  The fused variant doubles as the zero-allocation assertion
+// of the warm tiled sweep, and peakRssMiB records the resident high-water
+// mark (process-wide, so comparable only within one bench invocation).
 void BM_SweepFused(benchmark::State& state) {
   const bool fused = state.range(0) != 0;
   nqs::QiankunNetConfig cfg;
@@ -234,7 +234,6 @@ void BM_SweepFused(benchmark::State& state) {
   nqs::BasSweepEngine engine(net);
   nqs::SamplerOptions opts;
   opts.nSamples = 1 << 12;
-  opts.exec.fusedSweep = fused;
   std::vector<Real> logAmp, phase;
   // Warm-up sweeps: grow the arena/blocks, then let the frame pool's
   // capacities reach their fixpoint (popFrame's pool swaps permute block
@@ -583,9 +582,6 @@ void BM_BackwardTiled(benchmark::State& state) {
   cfg.phaseHiddenLayers = 1;
   cfg.seed = 7;
   nqs::QiankunNet net(cfg);
-  exec::ExecutionPolicy ex;
-  ex.gradTileRows = tiled ? 0 : -1;  // 0 = engine default (256-sample tiles)
-  net.setEvalPolicy(ex);
 
   // Deterministic in-sector samples: nAlpha electrons on even qubits, nBeta
   // on odd, positions drawn per sample (rejection on collisions).
@@ -611,6 +607,18 @@ void BM_BackwardTiled(benchmark::State& state) {
     dLa[i] = 0.01 * (static_cast<Real>(i % 13) - 6.0);
     dPh[i] = 0.01 * (static_cast<Real>(i % 9) - 4.0);
   }
+  // Tiled leg: evaluateGrad at the engine-default 256-sample tiles.
+  // Monolithic leg: the reference it is tested against, one recording
+  // evaluate over the whole batch + the Tensor-level backward.
+  std::vector<Real> la, ph;
+  auto step = [&] {
+    if (tiled) {
+      net.evaluateGrad(samples, dLa, dPh);
+    } else {
+      net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
+      net.backward(dLa, dPh);
+    }
+  };
 
   // Cold step: grows the tape / caches, and is where the monolithic leg's
   // activation tensors are first allocated — its peak above the pre-step
@@ -618,13 +626,13 @@ void BM_BackwardTiled(benchmark::State& state) {
   // live between steps, so warm steps would hide it).
   resetPeakLiveHeapBytes();
   const std::uint64_t live0 = liveHeapBytes();
-  net.evaluateGrad(samples, dLa, dPh);
+  step();
   const std::uint64_t coldPeakBytes = peakLiveHeapBytes() - live0;
 
   std::uint64_t lastStepAllocs = 0;
   for (auto _ : state) {
     const std::uint64_t allocs0 = allocationCount();
-    net.evaluateGrad(samples, dLa, dPh);
+    step();
     lastStepAllocs = allocationCount() - allocs0;
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));

@@ -70,46 +70,36 @@ enum class CommBackend {
 
 /// The consolidated execution policy: every engine-selection knob of a VMC
 /// run (or of a standalone sampler / inference call) in one struct.
-/// VmcOptions, SamplerOptions and QiankunNet::setEvalPolicy all accept it
-/// (the deprecated per-field option aliases they carried for one release
-/// after the consolidation are gone).
+/// VmcOptions, SamplerOptions and QiankunNet::setEvalPolicy all accept it.
+/// Each field picks an engine or a tile size; none selects an A/B reference
+/// path.  The BAS sweep always yields ln|Psi| (SampleSet::logAmp).
 struct ExecutionPolicy {
   DecodePolicy decode = DecodePolicy::kKvCache;
   KernelPolicy kernel = KernelPolicy::kAuto;
   ElocMode eloc = ElocMode::kBatched;
   CommBackend comm = CommBackend::kThreads;
 
+  // The three tile fields share one contract: 0 selects the engine default,
+  // n > 0 means n rows, and a negative value is rejected with
+  // std::invalid_argument by the engine that reads it.  A tile at least as
+  // large as the batch is the untiled sweep.  Every geometry is bit-identical,
+  // so these fields only trade cache traffic or memory against wall clock.
+
   /// Rows per cache-resident tile of the BAS sweep engine's depth-first
-  /// frontier descent (kKvCache sampling only).  0 selects the engine
-  /// default (BasSweepEngine::kDefaultTileRows); a negative value disables
-  /// tiling entirely — one breadth-first tile spanning the whole frontier,
-  /// the untiled A/B reference.  Every geometry draws bit-identical sample
-  /// sets (per-node RNG substreams), so this knob only moves cache traffic.
+  /// frontier descent (kKvCache sampling only; engine default
+  /// BasSweepEngine::kDefaultTileRows).
   int sweepTileRows = 0;
   /// Rows per tile of the teacher-forced evaluate sweep (inference
   /// amplitudes, kKvCache decode only): bounds the decode KV arena
-  /// independent of the batch size.  0 selects the engine default
-  /// (TransformerAR::kEvalTileRows); a negative value disables tiling — one
-  /// tile spanning the whole batch.  Every geometry is bit-identical (the
-  /// decode contract), so this knob only moves cache traffic.  Replaces the
-  /// tileRows argument the two-parameter QiankunNet::setEvalPolicy carried.
+  /// independent of the batch size (engine default
+  /// TransformerAR::kEvalTileRows).
   int evalTileRows = 0;
-  /// Samples per tile of the recompute-in-tiles gradient path
+  /// Samples per tile of the recompute-in-tiles gradient
   /// (QiankunNet::evaluateGrad): each tile re-runs the recording forward,
   /// backprops, and releases its activations, bounding peak training
-  /// activation memory at O(tile * L * d) independent of the batch size.
-  /// 0 selects the engine default (TransformerAR::kEvalTileRows); a negative
-  /// value selects the monolithic full-batch cached-activation reference.
-  /// Ascending-tile accumulation order makes every geometry produce
-  /// bit-identical parameter gradients, so this knob only trades recompute
-  /// time against activation memory.
+  /// activation memory at O(tile * L * d) independent of the batch size
+  /// (engine default TransformerAR::kEvalTileRows).
   int gradTileRows = 0;
-  /// Fuse final-sweep evaluation into the BAS sweep: the per-step masked
-  /// conditionals the sampler already computes are accumulated into ln|Psi|
-  /// per leaf (SampleSet::logAmp), so the VMC driver skips its separate
-  /// evaluate-over-the-sample-set pass.  Bit-identical to the separate pass;
-  /// off = the A/B reference that re-derives amplitudes via evaluate().
-  bool fusedSweep = true;
 };
 
 }  // namespace nnqs::exec

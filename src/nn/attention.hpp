@@ -13,7 +13,6 @@ class CausalSelfAttention : public Module {
   CausalSelfAttention(Index dModel, Index nHeads, Index seqLen, Rng& rng,
                       std::string name);
 
-  using Module::forward;
   Tensor forward(const Tensor& x, GradMode mode) override;
   Tensor backward(const Tensor& dy) override;
   void collectParameters(std::vector<Parameter*>& out) override;

@@ -30,11 +30,6 @@ class Module {
  public:
   virtual ~Module() = default;
   virtual Tensor forward(const Tensor& x, GradMode mode) = 0;
-  /// One-release migration shim for the pre-GradMode API.
-  [[deprecated("use forward(x, GradMode::{kInference,kRecordTape})")]]
-  Tensor forward(const Tensor& x, bool cache) {
-    return forward(x, cache ? GradMode::kRecordTape : GradMode::kInference);
-  }
   virtual Tensor backward(const Tensor& dy) = 0;
   virtual void collectParameters(std::vector<Parameter*>& out) = 0;
   /// Clear the backward cache, write-free when already clear (the
@@ -50,16 +45,10 @@ class Module {
 class Linear : public Module {
  public:
   Linear(Index in, Index out, Rng& rng, std::string name);
-  using Module::forward;
   Tensor forward(const Tensor& x, GradMode mode) override;
   /// Policy-selecting forward for the decode path (DecodeState::kernel); the
   /// Module override uses kAuto.
   Tensor forward(const Tensor& x, GradMode mode, kernels::KernelPolicy policy);
-  [[deprecated("use forward(x, GradMode, policy)")]]
-  Tensor forward(const Tensor& x, bool cache, kernels::KernelPolicy policy) {
-    return forward(x, cache ? GradMode::kRecordTape : GradMode::kInference,
-                   policy);
-  }
   /// Raw-buffer inference for the zero-allocation decode path: y [rows, out]
   /// is caller storage (workspace-carved), fully overwritten.  Counts as an
   /// inference forward (invalidates the backward cache).
@@ -113,7 +102,6 @@ class Linear : public Module {
 class LayerNorm : public Module {
  public:
   LayerNorm(Index dim, std::string name);
-  using Module::forward;
   Tensor forward(const Tensor& x, GradMode mode) override;
   Tensor backward(const Tensor& dy) override;
   void collectParameters(std::vector<Parameter*>& out) override;
@@ -161,7 +149,6 @@ class LayerNorm : public Module {
 class Gelu : public Module {
  public:
   explicit Gelu(std::string name = "gelu") : name_(std::move(name)) {}
-  using Module::forward;
   Tensor forward(const Tensor& x, GradMode mode) override;
   Tensor backward(const Tensor& dy) override;
   void collectParameters(std::vector<Parameter*>&) override {}
@@ -197,7 +184,6 @@ class Gelu : public Module {
 class TanhAct : public Module {
  public:
   explicit TanhAct(std::string name = "tanh") : name_(std::move(name)) {}
-  using Module::forward;
   Tensor forward(const Tensor& x, GradMode mode) override;
   Tensor backward(const Tensor& dy) override;
   void collectParameters(std::vector<Parameter*>&) override {}
@@ -235,11 +221,6 @@ class Embedding {
  public:
   Embedding(Index vocab, Index maxLen, Index dim, Rng& rng, std::string name);
   Tensor forward(const std::vector<int>& tokens, Index seqLen, GradMode mode);
-  [[deprecated("use forward(tokens, seqLen, GradMode)")]]
-  Tensor forward(const std::vector<int>& tokens, Index seqLen, bool cache) {
-    return forward(tokens, seqLen,
-                   cache ? GradMode::kRecordTape : GradMode::kInference);
-  }
   void backward(const Tensor& dy);
   void collectParameters(std::vector<Parameter*>& out);
 

@@ -17,7 +17,6 @@ class DecoderBlock : public Module {
  public:
   DecoderBlock(Index dModel, Index nHeads, Index ffDim, Index seqLen, Rng& rng,
                std::string name);
-  using Module::forward;
   Tensor forward(const Tensor& x, GradMode mode) override;
   Tensor backward(const Tensor& dy) override;
   void collectParameters(std::vector<Parameter*>& out) override;
@@ -74,11 +73,6 @@ class TransformerAR {
   /// tokens is a flattened [B, L'] window (L' <= seqLen); returns logits
   /// [B, L', 4].
   Tensor forward(const std::vector<int>& tokens, Index window, GradMode mode);
-  [[deprecated("use forward(tokens, window, GradMode)")]]
-  Tensor forward(const std::vector<int>& tokens, Index window, bool cache) {
-    return forward(tokens, window,
-                   cache ? GradMode::kRecordTape : GradMode::kInference);
-  }
   /// Backprop dLogits [B, L', 4]; accumulates parameter gradients.
   void backward(const Tensor& dLogits);
   void collectParameters(std::vector<Parameter*>& out);
@@ -247,10 +241,6 @@ class PhaseMlp {
 
   /// x: [B, nQubits] of +-1; returns [B] phases.
   Tensor forward(const Tensor& x, GradMode mode);
-  [[deprecated("use forward(x, GradMode)")]]
-  Tensor forward(const Tensor& x, bool cache) {
-    return forward(x, cache ? GradMode::kRecordTape : GradMode::kInference);
-  }
 
   /// Raw-buffer inference: x [rows, nQubits] (caller storage, possibly carved
   /// from `ws` itself), phases written to out[rows]; every intermediate

@@ -142,8 +142,8 @@ void QiankunNet::amplitudesFullForward(const std::vector<Bits128>& samples,
   const bool record = mode == nn::GradMode::kRecordTape;
   const int L = nSteps();
   const Index batch = static_cast<Index>(samples.size());
-  inputTokens(samples, evalTokens_);
-  nn::Tensor logits = amplitude_.forward(evalTokens_, L, mode);
+  inputTokens(samples, evalSlot_.tokens);
+  nn::Tensor logits = amplitude_.forward(evalSlot_.tokens, L, mode);
 
   nn::Tensor probs;
   if (record) probs = nn::Tensor({batch, L, 4});
@@ -168,38 +168,47 @@ void QiankunNet::amplitudesFullForward(const std::vector<Bits128>& samples,
   }
 }
 
-void QiankunNet::amplitudesDecode(const std::vector<Bits128>& samples,
-                                  std::vector<Real>& logAmp) {
+void QiankunNet::decodeLogAmp(EvalSlot& slot,
+                              const std::vector<Bits128>& samples,
+                              std::vector<Real>& logAmp,
+                              nn::kernels::KernelPolicy kernel, Index tileRows) {
   const int L = nSteps();
   const Index batch = static_cast<Index>(samples.size());
-  inputTokens(samples, evalTokens_);
+  inputTokens(samples, slot.tokens);
   logAmp.assign(samples.size(), 0.0);
   // Teacher-forced sweep: evaluateDecode hands back each row tile's [tb, 4]
   // logits position by position; the per-position log-conditionals are
   // folded into logAmp on the fly — same maskedSoftmax4, same ascending-s
   // accumulation order as the full-forward path, so the bits match — and no
-  // [B, L, 4] buffer ever materializes.  evalUp_/evalDown_ carry every row's
+  // [B, L, 4] buffer ever materializes.  slot.up/slot.down carry every row's
   // running electron counts between steps, indexed by *global* row so the
   // sink only touches its own tile's entries (tiles may run concurrently); a
   // row that leaves the number-conserving support is finished at kLogZero
   // (its remaining teacher-forced steps cost nothing but the shared GEMMs).
-  evalUp_.assign(samples.size(), 0);
-  evalDown_.assign(samples.size(), 0);
-  // ExecutionPolicy::evalTileRows: 0 = engine default (resolved inside
-  // evaluateDecode), negative = untiled (one tile spanning the batch).
-  const Index tileRows =
-      evalTileRows_ < 0 ? std::max<Index>(batch, 1) : evalTileRows_;
+  slot.up.assign(samples.size(), 0);
+  slot.down.assign(samples.size(), 0);
   amplitude_.evaluateDecode(
-      evalState_, evalTokens_, batch, L, tileRows, evalKernel_,
+      slot.state, slot.tokens, batch, L, tileRows, kernel,
       [&](Index t0, Index tb, Index s, const Real* logits) {
         for (Index b = 0; b < tb; ++b) {
           const auto row = static_cast<std::size_t>(t0 + b);
           if (logAmp[row] <= kLogZero) continue;
           Real pr[4];
           stepLogAmp(logits + b * 4, samples[row], static_cast<int>(s),
-                     evalUp_[row], evalDown_[row], logAmp[row], pr);
+                     slot.up[row], slot.down[row], logAmp[row], pr);
         }
       });
+}
+
+void QiankunNet::setEvalPolicy(const exec::ExecutionPolicy& exec) {
+  if (exec.evalTileRows < 0 || exec.gradTileRows < 0)
+    throw std::invalid_argument(
+        "QiankunNet::setEvalPolicy: evalTileRows and gradTileRows must be >= 0 "
+        "(0 = default)");
+  evalPolicy_ = exec.decode;
+  evalKernel_ = exec.kernel;
+  evalTileRows_ = exec.evalTileRows;
+  gradTileRows_ = exec.gradTileRows;
 }
 
 void QiankunNet::evaluate(const std::vector<Bits128>& samples,
@@ -212,7 +221,7 @@ void QiankunNet::evaluate(const std::vector<Bits128>& samples,
   if (record || evalPolicy_ == DecodePolicy::kFullForward)
     amplitudesFullForward(samples, logAmp, mode);
   else
-    amplitudesDecode(samples, logAmp);
+    decodeLogAmp(evalSlot_, samples, logAmp, evalKernel_, evalTileRows_);
 
   // Phase network on the +-1 encoded qubit string.
   phaseForward(samples, phase, mode);
@@ -316,15 +325,6 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
   if (dLogAmp.size() != samples.size() || dPhase.size() != samples.size())
     throw std::invalid_argument("QiankunNet::evaluateGrad: seed/sample size mismatch");
 
-  // Monolithic cached-activation reference (gradTileRows < 0): one recording
-  // full forward + the Tensor-level backward.
-  if (gradTileRows_ < 0) {
-    std::vector<Real> la, ph;
-    evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-    backward(dLogAmp, dPhase);
-    return;
-  }
-
   // This call records and consumes its own per-tile activations; any
   // previously recorded evaluate is stale from here on.
   invalidateEvaluate(nn::stale::kTapeForward);
@@ -416,25 +416,9 @@ void QiankunNet::prepareConcurrent() {
 void QiankunNet::evaluateInto(EvalSlot& slot, const std::vector<Bits128>& samples,
                               std::vector<Real>& logAmp, std::vector<Real>& phase,
                               nn::kernels::KernelPolicy kernel, Index tileRows) {
-  const int L = nSteps();
+  // Amplitude: the same sweep evaluate() runs, on the caller's slot.
+  decodeLogAmp(slot, samples, logAmp, kernel, tileRows);
   const Index batch = static_cast<Index>(samples.size());
-  // Amplitude: the amplitudesDecode sweep verbatim, with every mutable
-  // buffer drawn from the caller's slot instead of the shared eval scratch.
-  inputTokens(samples, slot.tokens);
-  logAmp.assign(samples.size(), 0.0);
-  slot.up.assign(samples.size(), 0);
-  slot.down.assign(samples.size(), 0);
-  amplitude_.evaluateDecode(
-      slot.state, slot.tokens, batch, L, tileRows, kernel,
-      [&](Index t0, Index tb, Index s, const Real* logits) {
-        for (Index b = 0; b < tb; ++b) {
-          const auto row = static_cast<std::size_t>(t0 + b);
-          if (logAmp[row] <= kLogZero) continue;
-          Real pr[4];
-          stepLogAmp(logits + b * 4, samples[row], static_cast<int>(s),
-                     slot.up[row], slot.down[row], logAmp[row], pr);
-        }
-      });
 
   // Phase: the same +-1 encoding and MLP arithmetic as phaseForward, via the
   // raw workspace path (forwardInto) so no shared tensors are built.

@@ -104,26 +104,13 @@ class QiankunNet {
   /// KV-cached teacher-forced decode sweep by default, or the stateless
   /// full-forward reference — bit-identical, so they only move the wall
   /// clock); evalTileRows bounds the decode KV arena and gradTileRows the
-  /// recompute-gradient tile (both 0 = engine default, negative = untiled).
+  /// recompute-gradient tile (both 0 = engine default, n > 0 = n rows; a
+  /// negative value throws std::invalid_argument).
   ///
   /// The inference policy applies to GradMode::kInference evaluations: a
   /// recording evaluate must run the full forward regardless, because
   /// backward() consumes the activations only that path stores.
-  void setEvalPolicy(const exec::ExecutionPolicy& exec) {
-    evalPolicy_ = exec.decode;
-    evalKernel_ = exec.kernel;
-    evalTileRows_ = exec.evalTileRows;
-    gradTileRows_ = exec.gradTileRows;
-  }
-  /// One-release migration shim: the tiling knob moved into the policy
-  /// struct itself (ExecutionPolicy::evalTileRows), so one struct carries
-  /// every tiling knob.
-  [[deprecated("set ExecutionPolicy::evalTileRows and call setEvalPolicy(exec)")]]
-  void setEvalPolicy(const exec::ExecutionPolicy& exec, Index tileRows) {
-    exec::ExecutionPolicy p = exec;
-    p.evalTileRows = static_cast<int>(tileRows);
-    setEvalPolicy(p);
-  }
+  void setEvalPolicy(const exec::ExecutionPolicy& exec);
   [[nodiscard]] DecodePolicy evalPolicy() const { return evalPolicy_; }
 
   /// ln|Psi| and phase for a batch of samples.  GradMode::kRecordTape stores
@@ -134,17 +121,11 @@ class QiankunNet {
   /// activations.
   void evaluate(const std::vector<Bits128>& samples, std::vector<Real>& logAmp,
                 std::vector<Real>& phase, nn::GradMode mode);
-  [[deprecated("use evaluate(samples, logAmp, phase, GradMode)")]]
-  void evaluate(const std::vector<Bits128>& samples, std::vector<Real>& logAmp,
-                std::vector<Real>& phase, bool cache) {
-    evaluate(samples, logAmp, phase,
-             cache ? nn::GradMode::kRecordTape : nn::GradMode::kInference);
-  }
 
   /// Phase-only inference: phi(x) per sample via the phase MLP, skipping the
-  /// amplitude network entirely.  The complement of the fused BAS sweep,
-  /// which produces ln|Psi| as a sampling by-product (SampleSet::logAmp) but
-  /// never touches the phase MLP.  Invalidates like a cache=false evaluate.
+  /// amplitude network entirely.  The complement of the BAS sweep, which
+  /// produces ln|Psi| as a sampling by-product (SampleSet::logAmp) but never
+  /// touches the phase MLP.  Invalidates like an inference evaluate.
   void phases(const std::vector<Bits128>& samples, std::vector<Real>& phase);
 
   /// ln|Psi| sentinel for samples outside the number-conserving support
@@ -182,10 +163,11 @@ class QiankunNet {
   /// strictly sequential ascending-row fold that tile boundaries merely
   /// partition, and tiles are swept sequentially in ascending order — the
   /// ordering IS the bit-identity mechanism, so tiles are never parallelized
-  /// (threading stays inside the per-tile kernels).  gradTileRows < 0 runs
-  /// the monolithic cached-activation reference instead.  A warm call (same
-  /// shapes as the last) performs zero heap allocations on the tiled path:
-  /// all per-tile storage lives on the owned Tape arena.
+  /// (threading stays inside the per-tile kernels).  A tile at least as large
+  /// as the batch is a single tile; the monolithic cached-activation
+  /// reference is evaluate(kRecordTape) + backward(), called directly.  A
+  /// warm call (same shapes as the last) performs zero heap allocations: all
+  /// per-tile storage lives on the owned Tape arena.
   ///
   /// Invalidates any recorded evaluate (this call records and consumes its
   /// own activations tile by tile).
@@ -214,8 +196,9 @@ class QiankunNet {
 
   /// Everything one evaluateInto() call mutates: the decode state (KV arena +
   /// workspace), token/count marshalling scratch, and the phase MLP's
-  /// activation workspace.  One slot per worker thread; all buffers reuse
-  /// their capacity, so a warm evaluateInto performs zero heap allocations.
+  /// activation workspace.  One slot per worker thread (and one owned by the
+  /// net for evaluate()); all buffers reuse their capacity, so a warm
+  /// evaluateInto performs zero heap allocations.
   struct EvalSlot {
     nn::DecodeState state;
     std::vector<int> tokens;
@@ -228,16 +211,17 @@ class QiankunNet {
   /// cache — after which the per-step invalidate() calls inside the decode
   /// sweep are write-free — and drops any cached evaluate, so inference only
   /// *reads* shared network state.  Call once after construction/loading and
-  /// after any cache=true evaluate; concurrent callers must not interleave
+  /// after any recording evaluate; concurrent callers must not interleave
   /// with evaluate()/phases()/backward() (which mutate shared scratch).
   void prepareConcurrent();
 
   /// ln|Psi| and phase of `samples` using only `slot` for mutable state —
-  /// bit-identical to a cache=false evaluate() under the kKvCache policy with
+  /// bit-identical to an inference evaluate() under the kKvCache policy with
   /// the same kernel, for any batch composition (per-row arithmetic is
   /// independent of the surrounding batch, the serving layer's coalescing
   /// contract).  `kernel` should be a non-forking policy (kSimd/kScalar) when
-  /// called from concurrent workers; `tileRows` as in setEvalPolicy.
+  /// called from concurrent workers; `tileRows` is the evaluate tile
+  /// (0 = TransformerAR::kEvalTileRows).
   void evaluateInto(EvalSlot& slot, const std::vector<Bits128>& samples,
                     std::vector<Real>& logAmp, std::vector<Real>& phase,
                     nn::kernels::KernelPolicy kernel =
@@ -256,10 +240,13 @@ class QiankunNet {
   void amplitudesFullForward(const std::vector<Bits128>& samples,
                              std::vector<Real>& logAmp, nn::GradMode mode);
   /// ln|Psi| via the teacher-forced incremental-decode sweep
-  /// (TransformerAR::evaluateDecode).  Bit-identical to the full-forward
-  /// path; zero heap allocations once warm.
-  void amplitudesDecode(const std::vector<Bits128>& samples,
-                        std::vector<Real>& logAmp);
+  /// (TransformerAR::evaluateDecode), every mutable buffer drawn from `slot`.
+  /// The one amplitude sweep of evaluate() (on evalSlot_) and evaluateInto()
+  /// (on the caller's slot).  Bit-identical to the full-forward path; zero
+  /// heap allocations once the slot is warm.
+  void decodeLogAmp(EvalSlot& slot, const std::vector<Bits128>& samples,
+                    std::vector<Real>& logAmp, nn::kernels::KernelPolicy kernel,
+                    Index tileRows);
 
   /// The phase-MLP forward shared by evaluate() and phases(): +-1 encode the
   /// qubit strings, run the MLP, copy the scalar outputs.
@@ -291,8 +278,8 @@ class QiankunNet {
   // Inference-engine selection of evaluate()/psi() (setEvalPolicy).
   DecodePolicy evalPolicy_ = DecodePolicy::kKvCache;
   nn::kernels::KernelPolicy evalKernel_ = nn::kernels::KernelPolicy::kAuto;
-  Index evalTileRows_ = 0;
-  Index gradTileRows_ = 0;  ///< 0 = default tile; < 0 = monolithic reference
+  Index evalTileRows_ = 0;  ///< 0 = default tile
+  Index gradTileRows_ = 0;  ///< 0 = default tile
   // Tiled-gradient scratch (evaluateGrad): the per-tile activation tape, the
   // tile's marshalled tokens, and the caller-owned module frames.  All reuse
   // their capacity, so a warm tiled training step allocates nothing.
@@ -300,14 +287,13 @@ class QiankunNet {
   std::vector<int> gradTokens_;
   nn::TransformerAR::TapeFrame ampFrame_;
   nn::PhaseMlp::TapeFrame phaseFrame_;
-  // Persistent evaluation scratch: the decode state (KV arena + workspace),
-  // the marshalled input tokens, and the per-row (up, down) running counts.
+  // Persistent evaluate() scratch: the decode state, the marshalled input
+  // tokens (also the full-forward path's) and the per-row running counts.
   // All re-use their capacity, so the warm decode-path *amplitude* sweep of
   // any batch size allocates nothing (the contract BM_Evaluate asserts); the
-  // phase MLP still builds its input/output tensors per call.
-  nn::DecodeState evalState_;
-  std::vector<int> evalTokens_;
-  std::vector<int> evalUp_, evalDown_;
+  // phase MLP still builds its input/output tensors per call, so phaseWs
+  // stays unused here.
+  EvalSlot evalSlot_;
   // Backward caches.  cachedBatch_ == -1 means "no cached forward"; an empty
   // cached batch (0) makes backward a no-op so ranks that received no samples
   // still participate in the gradient collectives with zero contributions.

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
+#include <stdexcept>
 
 namespace nnqs::nqs {
 
@@ -186,7 +186,7 @@ void BasSweepEngine::expandInto(const NodeBlock& cur, NodeBlock& next) {
       next.logp.push_back(parentLp <= QiankunNet::kLogZeroAmp || p <= 0.0
                               ? QiankunNet::kLogZeroAmp
                               : parentLp + 0.5 * std::log(p));
-      if (carry_) {
+      if (!kv_) {
         const auto ss = static_cast<std::size_t>(s);
         for (std::size_t j = 0; j < ss; ++j)
           next.tokens.push_back(cur.tokens[b * ss + j]);
@@ -258,19 +258,9 @@ void BasSweepEngine::deferExcess() {
 }
 
 void BasSweepEngine::emitLeaf(const NodeBlock& leaves, std::size_t i) {
-  Bits128 x;
-  if (carry_) {
-    // Prefix-carrying modes emit by replaying the materialized tokens — the
-    // A/B check that the incremental bits and the token prefixes agree.
-    const auto L = static_cast<std::size_t>(leaves.step);
-    for (std::size_t j = 0; j < L; ++j)
-      x = net_.applyToken(x, static_cast<int>(j), leaves.tokens[i * L + j]);
-  } else {
-    x = leaves.bits[i];
-  }
-  out_.samples.push_back(x);
+  out_.samples.push_back(leaves.bits[i]);
   out_.weights.push_back(leaves.weights[i]);
-  if (fused_) out_.logAmp.push_back(leaves.logp[i]);
+  out_.logAmp.push_back(leaves.logp[i]);
 }
 
 void BasSweepEngine::emitLeaves(const NodeBlock& leaves) {
@@ -330,17 +320,17 @@ void BasSweepEngine::partitionLayer(int rank, int nRanks) {
 const SampleSet& BasSweepEngine::sweep(const SamplerOptions& opts, int rank,
                                        int nRanks,
                                        std::uint64_t uniqueThreshold) {
+  if (opts.exec.sweepTileRows < 0)
+    throw std::invalid_argument(
+        "BasSweepEngine::sweep: sweepTileRows must be >= 0 (0 = default)");
   const int L = net_.nSteps();
   seed_ = opts.seed;
   kv_ = opts.exec.decode == DecodePolicy::kKvCache;
-  carry_ = opts.carryTokenPrefixes || !kv_;
-  fused_ = opts.exec.fusedSweep;
-  if (!kv_ || opts.exec.sweepTileRows < 0)
-    tileCap_ = std::numeric_limits<std::size_t>::max();  // one frontier tile
-  else
-    tileCap_ = opts.exec.sweepTileRows == 0
-                   ? static_cast<std::size_t>(kDefaultTileRows)
-                   : static_cast<std::size_t>(opts.exec.sweepTileRows);
+  // Read by the KV-cached descent only; the full-forward reference sweep
+  // runs breadth-first over the whole frontier.
+  tileCap_ = opts.exec.sweepTileRows == 0
+                 ? static_cast<std::size_t>(kDefaultTileRows)
+                 : static_cast<std::size_t>(opts.exec.sweepTileRows);
   armRoot(opts.nSamples);
   if (kv_) net_.beginDecode(state_, 1, opts.exec.kernel);
 

@@ -12,10 +12,9 @@ namespace nnqs::nqs {
 struct SampleSet {
   std::vector<Bits128> samples;
   std::vector<std::uint64_t> weights;
-  /// ln|Psi| per unique sample, accumulated by the fused sweep
-  /// (ExecutionPolicy::fusedSweep) from the same masked conditionals the
-  /// split draws used — bit-identical to a separate evaluate() over
-  /// `samples`.  Empty when fusion is off.
+  /// ln|Psi| per unique sample, accumulated during the sweep from the same
+  /// masked conditionals the split draws used — bit-identical to a separate
+  /// evaluate() over `samples`.  Always filled, one entry per sample.
   std::vector<Real> logAmp;
 
   [[nodiscard]] std::size_t nUnique() const { return samples.size(); }
@@ -32,7 +31,7 @@ struct SampleSet {
 };
 
 // DecodePolicy (the kFullForward / kKvCache engine selector shared by the
-// samplers and the teacher-forced evaluate path) lives in nqs/ansatz.hpp.
+// samplers and the teacher-forced evaluate path) lives in exec/policy.hpp.
 
 struct SamplerOptions {
   std::uint64_t nSamples = 1 << 12;  ///< N_s; can be huge (the paper uses 1e12)
@@ -40,18 +39,11 @@ struct SamplerOptions {
   /// Consolidated engine selection (exec/policy.hpp).  The sweep engine
   /// reads exec.decode (full-forward vs KV-cached engine), exec.kernel (the
   /// decode-attention backend; bit-identical, purely a performance knob),
-  /// exec.sweepTileRows (cache-resident tile geometry of the depth-first
-  /// descent) and exec.fusedSweep (ln|Psi| as a sampling by-product);
-  /// exec.eloc / exec.comm are carried for callers that forward one policy
-  /// through the whole stack.
+  /// and exec.sweepTileRows (cache-resident tile geometry of the depth-first
+  /// descent; negative throws); exec.eloc / exec.comm are carried for callers
+  /// that forward one policy through the whole stack.  Every choice draws the
+  /// same samples, weights and ln|Psi|.
   exec::ExecutionPolicy exec;
-  /// A/B knob of the prefix-representation refactor: carry materialized
-  /// token prefixes through the kKvCache sweep (the pre-refactor O(Nu*L^2)
-  /// layout) and emit samples by replaying them, instead of the
-  /// incrementally-built Bits128 occupations (O(Nu*L)).  Sample sets are
-  /// bit-identical either way; the full-forward reference path always
-  /// carries prefixes because its conditionals() consumes them.
-  bool carryTokenPrefixes = false;
 };
 
 /// Exact multinomial-style draw: split `n` trials over the 4 outcome
@@ -73,25 +65,26 @@ Bits128 autoregressiveSampleOne(QiankunNet& net, Rng& rng,
 /// each node's weight multinomially over the 4 outcomes and pruning
 /// zero-weight children.  Three structural properties:
 ///
-///  - **Incremental Bits128 prefixes.**  In kKvCache mode a node is its
-///    occupation bitstring (built token by token via applyToken) plus weight,
-///    electron counts and running ln|Psi| — O(Nu*L) storage per sweep.  The
-///    step feed is recovered from the bits (tokenOf at step s-1), so no token
-///    prefix is ever materialized; the full-forward reference path still
-///    carries prefixes because its stateless conditionals consume them.
+///  - **Incremental Bits128 prefixes.**  A node is its occupation bitstring
+///    (built token by token via applyToken) plus weight, electron counts and
+///    running ln|Psi| — O(Nu*L) storage per sweep — and leaves emit those
+///    bits.  The kKvCache step feed is recovered from the bits (tokenOf at
+///    step s-1), so no token prefix is ever materialized; only the
+///    full-forward reference path also carries prefixes, because its
+///    stateless conditionals consume them.
 ///  - **Cache-resident slot-range tiles.**  The frontier is chunked into
 ///    tiles of at most `tileRows` rows, swept depth-first: a tile descends to
 ///    the final layer before the next tile starts, so its KV slots stay
 ///    cache-resident across all remaining steps.  Deferred sibling chunks
 ///    park their rows via DecodeState::detachRows (index work only; zero K/V
 ///    bytes) and resume via attachRows.  Split/prune gathers are tile-local.
-///  - **Fused final-sweep evaluation.**  Every split already computed the
+///  - **ln|Psi| as a sampling by-product.**  Every split already computed the
 ///    masked-softmax conditionals, so each child accumulates
 ///    logp += 0.5*ln p(token) with exactly the arithmetic of the evaluate()
 ///    paths (including the kLogZeroAmp dead-branch sentinel); the final
 ///    layer's leaves emit ln|Psi| into SampleSet::logAmp for free.
 ///
-/// Every tile geometry, prefix representation and rank partition draws
+/// Every tile geometry, decode policy and rank partition draws
 /// bit-identical sample sets: each node's split consumes a private RNG
 /// substream keyed by (seed, bits, step) — the (bits, step) pair is
 /// bijective with the token prefix, so keys are unique, need no storage, and
@@ -114,8 +107,10 @@ class BasSweepEngine {
   /// Multi-rank sweeps replay a shared breadth-first prefix until the
   /// frontier exceeds `uniqueThreshold`, partition that layer by weight
   /// (greedy largest-first, deterministic), then each rank descends its own
-  /// subtrees.  Returns the engine-owned sample set, valid until the next
-  /// sweep; its vectors' capacity is reused across sweeps.
+  /// subtrees; a tree that ends before the threshold deals its leaves
+  /// round-robin.  Returns the engine-owned sample set, valid until the next
+  /// sweep; its vectors' capacity is reused across sweeps.  Throws
+  /// std::invalid_argument on a negative opts.exec.sweepTileRows.
   const SampleSet& sweep(const SamplerOptions& opts, int rank = 0,
                          int nRanks = 1, std::uint64_t uniqueThreshold = 0);
 
@@ -131,7 +126,7 @@ class BasSweepEngine {
     std::vector<std::uint64_t> weights;
     std::vector<std::array<int, 2>> counts;  ///< (up, down) used so far
     std::vector<Real> logp;                  ///< running ln|Psi| of the prefix
-    std::vector<int> tokens;  ///< [nodes, step], only when carrying prefixes
+    std::vector<int> tokens;  ///< [nodes, step], kFullForward only
     int step = 0;
 
     [[nodiscard]] std::size_t nodes() const { return weights.size(); }
@@ -187,8 +182,6 @@ class BasSweepEngine {
   std::uint64_t seed_ = 0;
   std::size_t tileCap_ = 0;
   bool kv_ = true;
-  bool carry_ = false;
-  bool fused_ = true;
 };
 
 /// Fig. 3(b): batch autoregressive sampling.  Generates N_s samples in one

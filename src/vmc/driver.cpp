@@ -32,6 +32,10 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
     throw std::invalid_argument(
         "runVmc: the baseline local-energy engine exists for Fig. 10 "
         "benchmarking only; use a sample-aware mode");
+  if (opts.iterations < 1)
+    throw std::invalid_argument("runVmc: iterations must be >= 1");
+  if (opts.nSamplesInitial == 0)
+    throw std::invalid_argument("runVmc: nSamplesInitial must be >= 1");
   if (opts.checkpointEvery > 0 && opts.checkpointPath.empty())
     throw std::invalid_argument("runVmc: checkpointEvery needs a checkpointPath");
   // Parse + CRC-validate the resume checkpoint once, on the calling thread;
@@ -57,9 +61,8 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
     // Identical seed => identical replicated parameters on every rank, the
     // paper's model-replicated / data-distributed layout.
     nqs::QiankunNet net(netConfig);
-    // Route psi inference (the Eloc LUT evaluation below — the largest batch
-    // the network ever sees) through the same decode/kernel policies as
-    // sampling; cache=true gradient evaluates stay full-forward regardless.
+    // Stage 5's gradient tile (exec.gradTileRows); also routes any inference
+    // evaluate through the same decode/kernel policies as sampling.
     net.setEvalPolicy(ex);
     // The sweep engine persists across iterations: its decode arena, frontier
     // blocks and output set keep their capacity, so steady-state sampling
@@ -129,17 +132,11 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       const nqs::SampleSet& local = sampler.sweep(
           sOpts, rank, nRanks,
           opts.uniqueThresholdPerRank * static_cast<std::uint64_t>(nRanks));
-      // psi of the local chunk (inference).  A fused sweep already produced
-      // ln|Psi| as a sampling by-product, leaving only the phase MLP to run;
-      // otherwise fall back to the separate teacher-forced evaluate pass.
+      // psi of the local chunk (inference).  The sweep already produced
+      // ln|Psi| as a sampling by-product, leaving only the phase MLP to run.
       // (Copy, don't move, local.logAmp: the engine reuses its capacity.)
-      const bool fusedAmp = local.logAmp.size() == local.samples.size();
-      if (fusedAmp) {
-        logAmp.assign(local.logAmp.begin(), local.logAmp.end());
-        net.phases(local.samples, phase);
-      } else {
-        net.evaluate(local.samples, logAmp, phase, nn::GradMode::kInference);
-      }
+      logAmp.assign(local.logAmp.begin(), local.logAmp.end());
+      net.phases(local.samples, phase);
       phases.sampling += t0.seconds();
 
       // --- Stage 2: Allgather unique samples + psi ------------------------
@@ -363,14 +360,14 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       maxPhases.gradient = std::max(maxPhases.gradient, p[2]);
       maxPhases.other = std::max(maxPhases.other, p[3]);
     }
-    const Real n = static_cast<Real>(std::max(1, opts.iterations));
+    const Real n = static_cast<Real>(opts.iterations);
     res.secondsPerIteration = {maxPhases.sampling / n, maxPhases.localEnergy / n,
                                maxPhases.gradient / n, maxPhases.other / n};
     res.commBytesPerIteration =
-        bytesAllIterations / static_cast<std::uint64_t>(std::max(1, opts.iterations));
+        bytesAllIterations / static_cast<std::uint64_t>(opts.iterations);
 
     // Final energy: average of the last window (reduces MC noise).
-    const int window = std::min(opts.iterations, std::max(1, opts.iterations / 10));
+    const int window = std::max(1, opts.iterations / 10);
     Real sum = 0;
     for (int i = opts.iterations - window; i < opts.iterations; ++i)
       sum += res.energyHistory[static_cast<std::size_t>(i)];

@@ -256,13 +256,12 @@ TEST(Decode, GatherRejectsOutOfRangeRows) {
 }
 
 TEST(Decode, SamplerOptionsExecDefaults) {
-  // ExecutionPolicy is the sole engine-selection surface (the deprecated
-  // per-field aliases of the consolidation are gone): defaults decode on the
-  // KV cache with auto kernels and the fused sweep enabled.
+  // ExecutionPolicy is the sole engine-selection surface: defaults decode on
+  // the KV cache with auto kernels and the engine-default tiles.
   SamplerOptions opts;
   EXPECT_EQ(opts.exec.decode, DecodePolicy::kKvCache);
   EXPECT_EQ(opts.exec.kernel, nn::kernels::KernelPolicy::kAuto);
   EXPECT_EQ(opts.exec.sweepTileRows, 0);
-  EXPECT_TRUE(opts.exec.fusedSweep);
-  EXPECT_FALSE(opts.carryTokenPrefixes);
+  EXPECT_EQ(opts.exec.evalTileRows, 0);
+  EXPECT_EQ(opts.exec.gradTileRows, 0);
 }

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "nn/kernels/gemm.hpp"
@@ -297,10 +298,10 @@ TEST(Evaluate, CacheFalseInvalidatesLikeTheModules) {
 TEST(EvaluateGrad, TiledBitIdenticalToMonolithicAcrossTileGeometries) {
   // The recompute-in-tiles training step must fill parameter gradients
   // bit-identical to the monolithic cached-activation reference
-  // (gradTileRows = -1) at every tile geometry: degenerate single-sample
-  // tiles, a ragged last tile (32 on batch 70 -> 32, 32, 6), one tile
-  // larger than the batch (256 > 70, single ragged tile), an exact-batch
-  // tile, and the engine default (0).
+  // (evaluate(kRecordTape) + backward()) at every tile geometry: degenerate
+  // single-sample tiles, a ragged last tile (32 on batch 70 -> 32, 32, 6),
+  // one tile larger than the batch (256 > 70, single ragged tile), an
+  // exact-batch tile, and the engine default (0).
   NNQS_SKIP_IF_BLAS();
   const int n = 12, na = 3, nb = 2;
   const auto samples = [&] {
@@ -323,7 +324,14 @@ TEST(EvaluateGrad, TiledBitIdenticalToMonolithicAcrossTileGeometries) {
     net.flattenGradients(g);
     return g;
   };
-  const auto ref = gradsWithTile(-1);  // monolithic full-batch reference
+  const auto ref = [&] {  // monolithic full-batch reference
+    QiankunNet net(smallConfig(n, na, nb, 77));
+    std::vector<Real> la, ph, g;
+    net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
+    net.backward(dLa, dPh);
+    net.flattenGradients(g);
+    return g;
+  }();
   ASSERT_FALSE(ref.empty());
   for (int tile : {1, 32, 256, static_cast<int>(samples.size()), 0}) {
     const auto got = gradsWithTile(tile);
@@ -335,15 +343,22 @@ TEST(EvaluateGrad, TiledBitIdenticalToMonolithicAcrossTileGeometries) {
 
 TEST(EvaluateGrad, EmptyBatchLeavesGradientsZero) {
   // Ranks that received no samples call the same training step; both the
-  // tiled and the monolithic engines must accept the empty batch.
+  // tiled engine and the monolithic reference must accept the empty batch
+  // (tile -1 below stands for the reference, evaluate + backward).
   const std::vector<Bits128> none;
   const std::vector<Real> zero;
   for (int tile : {-1, 0, 8}) {
     QiankunNet net(smallConfig(8, 2, 2));
-    exec::ExecutionPolicy ex;
-    ex.gradTileRows = tile;
-    net.setEvalPolicy(ex);
-    EXPECT_NO_THROW(net.evaluateGrad(none, zero, zero)) << "tile " << tile;
+    if (tile < 0) {
+      std::vector<Real> la, ph;
+      EXPECT_NO_THROW(net.evaluate(none, la, ph, nn::GradMode::kRecordTape));
+      EXPECT_NO_THROW(net.backward(zero, zero));
+    } else {
+      exec::ExecutionPolicy ex;
+      ex.gradTileRows = tile;
+      net.setEvalPolicy(ex);
+      EXPECT_NO_THROW(net.evaluateGrad(none, zero, zero)) << "tile " << tile;
+    }
     std::vector<Real> g;
     net.flattenGradients(g);
     for (std::size_t i = 0; i < g.size(); ++i)
@@ -459,42 +474,16 @@ TEST(EvaluateGrad, StaleBackwardNamesTheModuleAndTheInvalidator) {
   expectBackwardError("already consumed by a previous backward");
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(EvaluateGrad, DeprecatedBoolAndTwoArgOverloadsStillWork) {
-  // One-release compatibility shims: the bool-cache evaluate and the
-  // two-argument setEvalPolicy must keep behaving exactly like their
-  // replacements until they are removed.
-  NNQS_SKIP_IF_BLAS();
-  const int n = 10, na = 2, nb = 2;
-  const auto samples = [&] {
-    auto s = numberSector(n, na, nb);
-    s.resize(5);
-    return s;
-  }();
-  const std::vector<Real> dLa = {0.7, -1.1, 0.4, 0.3, -0.2};
-  const std::vector<Real> dPh = {0.2, 0.9, -0.5, 1.3, 0.8};
-  QiankunNet neu(smallConfig(n, na, nb, 9));
-  QiankunNet old(smallConfig(n, na, nb, 9));
-  neu.setEvalPolicy(
-      execFor(DecodePolicy::kKvCache, nn::kernels::KernelPolicy::kAuto, 2));
-  old.setEvalPolicy(execFor(DecodePolicy::kKvCache), /*tileRows=*/2);
-  std::vector<Real> laN, phN, laO, phO;
-  neu.evaluate(samples, laN, phN, nn::GradMode::kInference);
-  old.evaluate(samples, laO, phO, /*cache=*/false);
-  ASSERT_EQ(laN.size(), laO.size());
-  for (std::size_t i = 0; i < laN.size(); ++i) {
-    EXPECT_EQ(laN[i], laO[i]) << i;
-    EXPECT_EQ(phN[i], phO[i]) << i;
+TEST(EvaluateGrad, SetEvalPolicyRejectsNegativeTileRows) {
+  // 0 is the engine default and n > 0 is n rows; a negative value is an
+  // error, not a request for some other path.  A rejected policy leaves the
+  // previous one in force.
+  QiankunNet net(smallConfig(8, 2, 2));
+  for (int field = 0; field < 2; ++field) {
+    exec::ExecutionPolicy ex;
+    ex.decode = DecodePolicy::kFullForward;
+    (field == 0 ? ex.evalTileRows : ex.gradTileRows) = -1;
+    EXPECT_THROW(net.setEvalPolicy(ex), std::invalid_argument) << "field " << field;
   }
-  neu.evaluate(samples, laN, phN, nn::GradMode::kRecordTape);
-  old.evaluate(samples, laO, phO, /*cache=*/true);
-  neu.backward(dLa, dPh);
-  old.backward(dLa, dPh);
-  std::vector<Real> gN, gO;
-  neu.flattenGradients(gN);
-  old.flattenGradients(gO);
-  ASSERT_EQ(gN.size(), gO.size());
-  for (std::size_t i = 0; i < gN.size(); ++i) EXPECT_EQ(gN[i], gO[i]) << i;
+  EXPECT_EQ(net.evalPolicy(), DecodePolicy::kKvCache);
 }
-#pragma GCC diagnostic pop

@@ -337,25 +337,3 @@ TEST(StaleCache, ErrorsNameTheModuleAndTheInvalidatingMode) {
     EXPECT_NE(what.find(stale::kDecodeStep), std::string::npos) << what;
   }
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(StaleCache, DeprecatedBoolForwardMapsOntoGradMode) {
-  // The one-release bool overloads must behave exactly like the GradMode
-  // spellings they forward to: true records, false runs inference and
-  // invalidates.
-  Rng rng(28);
-  Linear lin(3, 2, rng, "t");
-  Tensor x({2, 3}), dy({2, 2});
-  x.randn(rng, 1.0);
-  dy.randn(rng, 1.0);
-  const Tensor viaBool = lin.forward(x, true);
-  EXPECT_NO_THROW(lin.backward(dy));
-  const Tensor viaEnum = lin.forward(x, GradMode::kRecordTape);
-  ASSERT_EQ(viaBool.data.size(), viaEnum.data.size());
-  for (std::size_t i = 0; i < viaBool.data.size(); ++i)
-    EXPECT_EQ(viaBool.data[i], viaEnum.data[i]) << i;
-  lin.forward(x, false);  // inference: invalidates the recording above
-  EXPECT_THROW(lin.backward(dy), StaleTapeError);
-}
-#pragma GCC diagnostic pop

@@ -1,8 +1,8 @@
 // BasSweepEngine contracts: bit-identical sample sets across tile geometries,
-// prefix representations, fusion on/off, decode policies and rank partitions;
-// fused ln|Psi| equal to a separate evaluate() bit for bit; zero heap
-// allocations on a warm fused sweep; and the cumulative SweepStats invariant
-// (tiling moves zero K/V bytes beyond the untiled sweep's split copies).
+// decode policies and rank partitions; fused ln|Psi| equal to a separate
+// evaluate() bit for bit; zero heap allocations on a warm fused sweep; the
+// cumulative SweepStats invariant (tiling moves zero K/V bytes beyond the
+// untiled sweep's split copies); and rejection of negative tile sizes.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <stdexcept>
 
 #include "nn/kernels/gemm.hpp"
 #include "nqs/sampler.hpp"
@@ -74,6 +75,9 @@ SampleSet sweepCopy(QiankunNet& net, const SamplerOptions& opts) {
   return engine.sweep(opts);
 }
 
+/// A tile at least as large as any frontier in these tests: the untiled sweep.
+constexpr int kUntiled = 1 << 30;
+
 }  // namespace
 
 TEST(Sweep, TileGeometryIsBitIdentical) {
@@ -83,10 +87,10 @@ TEST(Sweep, TileGeometryIsBitIdentical) {
   QiankunNet net(smallConfig(12, 3, 3));
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
-  opts.exec.sweepTileRows = -1;
+  opts.exec.sweepTileRows = kUntiled;
   const SampleSet ref = sweepCopy(net, opts);
   EXPECT_EQ(ref.totalWeight(), opts.nSamples);
-  EXPECT_EQ(ref.logAmp.size(), ref.samples.size());  // fused by default
+  EXPECT_EQ(ref.logAmp.size(), ref.samples.size());
 
   for (int tileRows : {1, 5, 0, 1 << 20}) {
     opts.exec.sweepTileRows = tileRows;
@@ -103,7 +107,7 @@ TEST(Sweep, FusedLogAmpMatchesSeparateEvaluate) {
   QiankunNet net(smallConfig(12, 3, 3));
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
-  for (int tileRows : {0, -1, 3}) {
+  for (int tileRows : {0, kUntiled, 3}) {
     for (DecodePolicy decode :
          {DecodePolicy::kKvCache, DecodePolicy::kFullForward}) {
       opts.exec.sweepTileRows = tileRows;
@@ -120,38 +124,17 @@ TEST(Sweep, FusedLogAmpMatchesSeparateEvaluate) {
   }
 }
 
-TEST(Sweep, UnfusedSweepDrawsTheSameSamples) {
-  // fusedSweep only adds the ln|Psi| by-product; the draws must not move.
-  NNQS_SKIP_IF_BLAS();
-  QiankunNet net(smallConfig(10, 3, 2));
-  SamplerOptions opts;
-  opts.nSamples = 1 << 13;
-  const SampleSet fused = sweepCopy(net, opts);
-  opts.exec.fusedSweep = false;
-  const SampleSet plain = sweepCopy(net, opts);
-  EXPECT_TRUE(plain.logAmp.empty());
-  ASSERT_EQ(fused.nUnique(), plain.nUnique());
-  for (std::size_t i = 0; i < fused.nUnique(); ++i) {
-    EXPECT_EQ(fused.samples[i], plain.samples[i]) << i;
-    EXPECT_EQ(fused.weights[i], plain.weights[i]) << i;
-  }
-}
-
 TEST(Sweep, PrefixFreeMatchesPrefixCarryingSweep) {
-  // The tentpole's O(Nu*L) refactor: the incremental-Bits128 sweep must draw
-  // exactly what the materialized-token-prefix sweep draws (carryTokenPrefixes
-  // replays the pre-refactor representation through the same engine), and the
-  // full-forward reference path (always prefix-carrying) must agree too.
+  // The O(Nu*L) prefix representation: the KV-cached sweep, which never
+  // materializes a token prefix, must draw exactly what the full-forward
+  // reference sweep (prefix-carrying, since its conditionals consume them)
+  // draws.
   NNQS_SKIP_IF_BLAS();
   QiankunNet net(smallConfig(12, 3, 3));
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
   const SampleSet bits = sweepCopy(net, opts);
-  opts.carryTokenPrefixes = true;
-  const SampleSet prefixes = sweepCopy(net, opts);
-  expectSameSet(bits, prefixes, "prefix-carrying kv");
 
-  opts.carryTokenPrefixes = false;
   opts.exec.decode = DecodePolicy::kFullForward;
   const SampleSet ff = sweepCopy(net, opts);
   expectSameSet(bits, ff, "full-forward");
@@ -160,32 +143,40 @@ TEST(Sweep, PrefixFreeMatchesPrefixCarryingSweep) {
 TEST(Sweep, ParallelUnionEqualsSerialExactly) {
   // Per-node RNG substreams make rank partitioning draw-invariant: the union
   // of the per-rank sets is the serial sweep *exactly* — same samples, same
-  // weights, same fused ln|Psi| — not just in totals.
+  // weights, same fused ln|Psi| — not just in totals.  Threshold 8 splits the
+  // tree mid-sweep; 1 << 30 is above the final frontier size, so the tree
+  // ends before the split and the leaves are dealt round-robin.
   NNQS_SKIP_IF_BLAS();
   const int ranks = 4;
   QiankunNet net(smallConfig(12, 3, 3));
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
   const SampleSet serial = sweepCopy(net, opts);
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::pair<std::uint64_t, Real>>
-      unionSet;
-  for (int r = 0; r < ranks; ++r) {
-    BasSweepEngine engine(net);
-    const SampleSet& s = engine.sweep(opts, r, ranks, 8);
-    for (std::size_t i = 0; i < s.nUnique(); ++i) {
-      const auto [it, inserted] = unionSet.emplace(
-          std::make_pair(s.samples[i].lo, s.samples[i].hi),
-          std::make_pair(s.weights[i], s.logAmp[i]));
-      EXPECT_TRUE(inserted) << "rank sets overlap";
-      (void)it;
+  for (const std::uint64_t threshold : {std::uint64_t{8}, std::uint64_t{1} << 30}) {
+    std::map<std::pair<std::uint64_t, std::uint64_t>, std::pair<std::uint64_t, Real>>
+        unionSet;
+    for (int r = 0; r < ranks; ++r) {
+      BasSweepEngine engine(net);
+      const SampleSet& s = engine.sweep(opts, r, ranks, threshold);
+      ASSERT_EQ(s.logAmp.size(), s.nUnique()) << "threshold " << threshold;
+      for (std::size_t i = 0; i < s.nUnique(); ++i) {
+        const bool inserted =
+            unionSet
+                .emplace(std::make_pair(s.samples[i].lo, s.samples[i].hi),
+                         std::make_pair(s.weights[i], s.logAmp[i]))
+                .second;
+        EXPECT_TRUE(inserted) << "rank sets overlap, threshold " << threshold;
+      }
     }
-  }
-  ASSERT_EQ(unionSet.size(), serial.nUnique());
-  for (std::size_t i = 0; i < serial.nUnique(); ++i) {
-    const auto it = unionSet.find({serial.samples[i].lo, serial.samples[i].hi});
-    ASSERT_NE(it, unionSet.end()) << i;
-    EXPECT_EQ(it->second.first, serial.weights[i]) << i;
-    EXPECT_EQ(it->second.second, serial.logAmp[i]) << i;
+    ASSERT_EQ(unionSet.size(), serial.nUnique()) << "threshold " << threshold;
+    for (std::size_t i = 0; i < serial.nUnique(); ++i) {
+      const auto it = unionSet.find({serial.samples[i].lo, serial.samples[i].hi});
+      ASSERT_NE(it, unionSet.end()) << "threshold " << threshold << " sample " << i;
+      EXPECT_EQ(it->second.first, serial.weights[i])
+          << "threshold " << threshold << " sample " << i;
+      EXPECT_EQ(it->second.second, serial.logAmp[i])
+          << "threshold " << threshold << " sample " << i;
+    }
   }
 }
 
@@ -198,7 +189,7 @@ TEST(Sweep, TilingMovesNoExtraArenaBytes) {
   BasSweepEngine engine(net);
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
-  opts.exec.sweepTileRows = -1;
+  opts.exec.sweepTileRows = kUntiled;
   engine.sweep(opts);
   const nn::DecodeState::SweepStats untiled = engine.decodeState().sweepStats;
   EXPECT_EQ(untiled.detaches, 0);
@@ -240,4 +231,18 @@ TEST(Sweep, WarmFusedSweepIsAllocationFree) {
   const std::uint64_t sweepAllocs = allocationCount() - allocs0;
   EXPECT_EQ(s.totalWeight(), opts.nSamples);
   EXPECT_EQ(sweepAllocs, 0u);
+}
+
+TEST(Sweep, RejectsNegativeTileRows) {
+  // 0 is the engine default and n > 0 is n rows; a negative value is an
+  // error, not a request for some other path.
+  QiankunNet net(smallConfig(8, 2, 2));
+  BasSweepEngine engine(net);
+  SamplerOptions opts;
+  opts.nSamples = 1 << 8;
+  opts.exec.sweepTileRows = -1;
+  EXPECT_THROW(engine.sweep(opts), std::invalid_argument);
+  EXPECT_THROW(engine.sweep(opts, 1, 2, 4), std::invalid_argument);
+  opts.exec.sweepTileRows = 0;
+  EXPECT_EQ(engine.sweep(opts).totalWeight(), opts.nSamples);
 }

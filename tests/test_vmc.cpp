@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "chem/basis_set.hpp"
 #include "nn/kernels/gemm.hpp"
 #include "chem/geometry_library.hpp"
@@ -182,12 +184,11 @@ TEST(Vmc, TermBalancedSplitIsBitIdenticalToEqualSplit) {
   EXPECT_GT(bal.rankTermsMax, 0u);
 }
 
-TEST(Vmc, FusedSweepAndTileGeometryLeaveTrajectoryBitIdentical) {
-  // The fused sweep replaces Stage 1's separate teacher-forced evaluate with
-  // ln|Psi| accumulated during sampling (same masked conditionals, same FP
-  // sequence), and the tile knob only reorders *when* frontier rows are
-  // decoded, never what they compute — so the whole multi-rank trajectory
-  // must match the unfused / untiled runs bit for bit.
+TEST(Vmc, TileGeometryLeavesTrajectoryBitIdentical) {
+  // The sweep tile only reorders *when* frontier rows are decoded, never what
+  // they compute — so the whole multi-rank trajectory must match the untiled
+  // run bit for bit.  (The sweep's ln|Psi| equals a separate evaluate() bit
+  // for bit: Sweep.FusedLogAmpMatchesSeparateEvaluate.)
   if (nn::kernels::gemmUsesBlas())
     GTEST_SKIP() << "BLAS GEMM route is not bit-identical across batch shapes";
   const System s = buildSystem("LiH");
@@ -199,7 +200,7 @@ TEST(Vmc, FusedSweepAndTileGeometryLeaveTrajectoryBitIdentical) {
   opts.nRanks = 3;
   opts.uniqueThresholdPerRank = 1;
   opts.seed = 29;
-  const VmcResult ref = runVmc(s.packed, netCfg(s, 15), opts);  // fused, default tiles
+  const VmcResult ref = runVmc(s.packed, netCfg(s, 15), opts);  // default tiles
 
   auto expectSameTrajectory = [&](const VmcResult& got, const char* what) {
     ASSERT_EQ(ref.energyHistory.size(), got.energyHistory.size()) << what;
@@ -211,10 +212,7 @@ TEST(Vmc, FusedSweepAndTileGeometryLeaveTrajectoryBitIdentical) {
     EXPECT_EQ(ref.nUnique, got.nUnique) << what;
   };
 
-  opts.exec.fusedSweep = false;
-  expectSameTrajectory(runVmc(s.packed, netCfg(s, 15), opts), "unfused");
-  opts.exec.fusedSweep = true;
-  opts.exec.sweepTileRows = -1;  // untiled reference descent
+  opts.exec.sweepTileRows = 1 << 30;  // untiled reference descent
   expectSameTrajectory(runVmc(s.packed, netCfg(s, 15), opts), "untiled");
   opts.exec.sweepTileRows = 7;  // ragged tiny tiles
   expectSameTrajectory(runVmc(s.packed, netCfg(s, 15), opts), "tileRows=7");
@@ -237,6 +235,36 @@ TEST(Vmc, RejectsBaselineEngine) {
   VmcOptions opts;
   opts.exec.eloc = ElocMode::kBaseline;
   EXPECT_THROW(runVmc(s.packed, netCfg(s), opts), std::invalid_argument);
+}
+
+TEST(Vmc, RejectsInvalidOptions) {
+  // iterations = 0 would average an empty window (energy = NaN), a negative
+  // count cannot size the energy history, and nSamplesInitial = 0 draws no
+  // samples (first energy 0/0): all rejected at entry.  A negative tile is
+  // rejected by every rank's engine and the error reaches the caller.
+  const System s = buildSystem("H2");
+  VmcOptions base;
+  base.iterations = 1;
+  base.nRanks = 2;
+  base.nSamples = 1 << 8;
+  base.nSamplesInitial = 1 << 8;
+  const std::pair<const char*, void (*)(VmcOptions&)> bad[] = {
+      {"iterations = 0", [](VmcOptions& o) { o.iterations = 0; }},
+      {"iterations = -1", [](VmcOptions& o) { o.iterations = -1; }},
+      {"nSamplesInitial = 0", [](VmcOptions& o) { o.nSamplesInitial = 0; }},
+      {"sweepTileRows = -1", [](VmcOptions& o) { o.exec.sweepTileRows = -1; }},
+      {"evalTileRows = -1", [](VmcOptions& o) { o.exec.evalTileRows = -1; }},
+      {"gradTileRows = -1", [](VmcOptions& o) { o.exec.gradTileRows = -1; }},
+  };
+  for (const auto& [what, spoil] : bad) {
+    VmcOptions opts = base;
+    spoil(opts);
+    EXPECT_THROW(runVmc(s.packed, netCfg(s), opts), std::invalid_argument) << what;
+  }
+
+  const VmcResult one = runVmc(s.packed, netCfg(s), base);
+  ASSERT_EQ(one.energyHistory.size(), 1u);
+  EXPECT_EQ(one.energy, one.energyHistory[0]);
 }
 
 TEST(Vmc, CheckpointResumeIsBitIdentical) {
