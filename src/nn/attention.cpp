@@ -140,19 +140,23 @@ Tensor CausalSelfAttention::forward(const Tensor& x, GradMode mode) {
     cachedBatch_ = batch;
     cachedWindow_ = L;
     hasCache_ = true;
-  } else {
-    invalidateBecause(stale::kInferenceForward);
+  } else if (hasCache_) {
+    cachedQkv_ = Tensor{};
+    cachedAttn_ = Tensor{};
+    cachedBatch_ = 0;
+    cachedWindow_ = 0;
+    hasCache_ = false;
+    staleReason_ = stale::kInferenceForward;
   }
   return proj_.forward(ctx, mode);
 }
 
 const Real* CausalSelfAttention::forwardTape(Tape& tape, TapeFrame& f,
-                                             const Real* x, Index rows) {
+                                             const Real* x, Index rows) const {
   const Index L = window_;
   const Index batch = rows / L;
   const Real scale = 1.0 / std::sqrt(static_cast<Real>(headDim_));
 
-  invalidateBecause(stale::kTapeForward);
   const Real* qkv = qkv_.forwardTape(tape, f.qkv, x, rows);
   Real* attn = tape.alloc(batch * heads_ * L * L);
   Real* ctx = tape.alloc(rows * d_);
@@ -166,31 +170,12 @@ const Real* CausalSelfAttention::forwardTape(Tape& tape, TapeFrame& f,
   return proj_.forwardTape(tape, f.proj, ctx, rows);
 }
 
-void CausalSelfAttention::invalidateBecause(const char* why) {
-  if (hasCache_) {
-    cachedQkv_ = Tensor{};
-    cachedAttn_ = Tensor{};
-    cachedBatch_ = 0;
-    cachedWindow_ = 0;
-    hasCache_ = false;
-    staleReason_ = why;
-  }
-  qkv_.invalidate();
-  proj_.invalidate();
-}
-
-void CausalSelfAttention::invalidate() { invalidateBecause(stale::kExplicit); }
-
 void CausalSelfAttention::decodeStep(const Real* x, Index batch,
                                      DecodeState& state, Index layer,
-                                     Real* out) {
+                                     Real* out) const {
   const Index pos = state.len;
   const Index maxLen = state.maxLen;
   const Real scale = 1.0 / std::sqrt(static_cast<Real>(headDim_));
-
-  // A decode step is an inference forward: invalidate the backward cache
-  // like every other inference path (modules.hpp invariant).
-  invalidateBecause(stale::kDecodeStep);
 
   // [B, 3D]: q | k | v per row, on the GEMM backend of the state's policy,
   // carved from the decode workspace (no per-step tensor churn).

@@ -27,9 +27,9 @@ class CausalSelfAttention : public Module {
   ///
   /// Zero-allocation contract: `out` [B, D] is caller storage and the qkv /
   /// context scratch is carved from `state.ws`, so a warm step touches no
-  /// heap (counts as an inference forward; invalidates the backward cache).
+  /// heap.  Read-only on the module: all mutation lands in `state`.
   void decodeStep(const Real* x, Index batch, DecodeState& state, Index layer,
-                  Real* out);
+                  Real* out) const;
 
   /// Sequence length of the next forward call (sampling uses growing
   /// prefix windows; the causal mask keeps shorter windows consistent).
@@ -47,24 +47,17 @@ class CausalSelfAttention : public Module {
     Index batch = 0;
     Index window = 0;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows);
+  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows) const;
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy);
 
-  /// Decode-path cache invalidation of this module and its Linears.
-  /// Write-free when already clear, so pre-invalidated concurrent inference
-  /// tiles make no shared writes (see TransformerAR::evaluateDecode).
-  void invalidate();
-
  private:
-  void invalidateBecause(const char* why);
-
   std::string name_;
   Index d_, heads_, headDim_, seqLen_;
   Index window_;
   Linear qkv_;   ///< D -> 3D
   Linear proj_;  ///< D -> D
-  // Caches for backward (invalidated by any inference forward, like the
-  // row-wise modules).
+  // Caches for backward (invalidated by a kInference Tensor forward, like
+  // the row-wise modules).
   Tensor cachedQkv_;   ///< [B*L, 3D]
   Tensor cachedAttn_;  ///< [B, heads, L, L] row-softmaxed weights
   Index cachedBatch_ = 0;

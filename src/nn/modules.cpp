@@ -21,7 +21,11 @@ Tensor Linear::forward(const Tensor& x, GradMode mode, kernels::KernelPolicy pol
   if (x.numel() % in_ != 0)
     throw std::invalid_argument("Linear::forward: input numel not divisible by in features");
   const Index rows = x.numel() / in_;
-  if (mode == GradMode::kInference) invalidateBecause(stale::kInferenceForward);
+  if (mode == GradMode::kInference && hasCache_) {
+    cachedX_ = Tensor{};
+    hasCache_ = false;
+    staleReason_ = stale::kInferenceForward;
+  }
   // Uninitialized destination: the GEMM's bias init writes every element, so
   // a zero-filled constructor would be the double-fill the kernels remove.
   Tensor y = Tensor::uninit({rows, out_});
@@ -34,9 +38,7 @@ Tensor Linear::forward(const Tensor& x, GradMode mode, kernels::KernelPolicy pol
 }
 
 void Linear::forwardInto(const Real* x, Index rows, Real* y,
-                         kernels::KernelPolicy policy) {
-  // A raw-buffer call is an inference forward: invalidate (modules.hpp).
-  invalidateBecause(stale::kRawForward);
+                         kernels::KernelPolicy policy) const {
   // y = x W^T + b on the register-blocked GEMM backend (bit-identical to the
   // naive loop under every policy).
   kernels::GemmArgs g;
@@ -55,8 +57,7 @@ void Linear::forwardInto(const Real* x, Index rows, Real* y,
 }
 
 const Real* Linear::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
-                                Index rows, kernels::KernelPolicy policy) {
-  invalidateBecause(stale::kTapeForward);
+                                Index rows, kernels::KernelPolicy policy) const {
   Real* y = tape.alloc(rows * out_);
   kernels::GemmArgs g;
   g.m = rows;
@@ -177,16 +178,18 @@ Tensor LayerNorm::forward(const Tensor& x, GradMode mode) {
     a.xhat = cachedXhat_.data.data();
     a.invStd = cachedInvStd_.data();
     hasCache_ = true;
-  } else {
-    invalidateBecause(stale::kInferenceForward);
+  } else if (hasCache_) {
+    cachedXhat_ = Tensor{};
+    cachedInvStd_.clear();
+    hasCache_ = false;
+    staleReason_ = stale::kInferenceForward;
   }
   kernels::residualLayerNorm(a);
   return y;
 }
 
 const Real* LayerNorm::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
-                                   Index rows) {
-  invalidateBecause(stale::kTapeForward);
+                                   Index rows) const {
   Real* y = tape.alloc(rows * dim_);
   Real* xhat = tape.alloc(rows * dim_);
   Real* invStd = tape.alloc(rows);
@@ -261,14 +264,16 @@ Tensor Gelu::forward(const Tensor& x, GradMode mode) {
   if (mode == GradMode::kRecordTape) {
     cachedX_ = x;
     hasCache_ = true;
-  } else {
-    invalidateBecause(stale::kInferenceForward);
+  } else if (hasCache_) {
+    cachedX_ = Tensor{};
+    hasCache_ = false;
+    staleReason_ = stale::kInferenceForward;
   }
   return y;
 }
 
-const Real* Gelu::forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index n) {
-  invalidateBecause(stale::kTapeForward);
+const Real* Gelu::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
+                              Index n) const {
   Real* y = tape.alloc(n);
   kernels::gelu(x, y, n);
   f.x = x;
@@ -302,16 +307,16 @@ Tensor TanhAct::forward(const Tensor& x, GradMode mode) {
   if (mode == GradMode::kRecordTape) {
     cachedY_ = y;
     hasCache_ = true;
-  } else {
-    // write-free when already clear (modules.hpp contract)
-    invalidateBecause(stale::kInferenceForward);
+  } else if (hasCache_) {
+    cachedY_ = Tensor{};
+    hasCache_ = false;
+    staleReason_ = stale::kInferenceForward;
   }
   return y;
 }
 
 const Real* TanhAct::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
-                                 Index n) {
-  invalidateBecause(stale::kTapeForward);
+                                 Index n) const {
   Real* y = tape.alloc(n);
   for (Index i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
   f.y = y;
@@ -371,11 +376,7 @@ Tensor Embedding::forward(const std::vector<int>& tokens, Index seqLen, GradMode
 }
 
 const Real* Embedding::forwardTape(Tape& tape, const int* tokens, Index rows,
-                                   Index seqLen) {
-  if (hasCache_) staleReason_ = stale::kTapeForward;
-  cachedTokens_.clear();
-  cachedSeqLen_ = 0;
-  hasCache_ = false;
+                                   Index seqLen) const {
   Real* y = tape.alloc(rows * dim_);
   for (Index r = 0; r < rows; ++r) {
     const Index t = tokens[r];

@@ -17,26 +17,24 @@ namespace nnqs::nn {
 /// parameter gradients.  (The VMC driver runs exactly one recording forward +
 /// one backward per iteration; sampling uses kInference calls.)
 ///
-/// A kInference forward *invalidates* any previously recorded activations:
-/// `backward` must consume the immediately preceding recording forward, and a
-/// backward after an inference forward throws StaleTapeError (naming the
-/// module and the invalidating event) instead of silently computing gradients
-/// against stale inputs.  The raw-buffer decode paths (`forwardInto` and the
-/// kernel calls in the transformer's decodeStep) are inference forwards under
-/// this invariant and invalidate the same way — as do the tape-recording
-/// `forwardTape` paths, whose activations live on a caller-owned Tape and are
-/// consumed by `backwardTape`, not by the Tensor-level `backward`.
+/// Only this Tensor-level forward/backward pair reads or writes the
+/// module-resident backward cache.  A kInference forward on it invalidates
+/// any previously recorded activations: `backward` must consume the
+/// immediately preceding recording forward, and a backward after an
+/// inference forward throws StaleTapeError (naming the module and the
+/// invalidating event) instead of silently computing gradients against stale
+/// inputs.  Every other path leaves the cache alone: the raw-buffer
+/// inference entry points (`forwardInto` and the transformer's `decodeStep`)
+/// are `const` and never write the module, so any number of threads may run
+/// them concurrently on one network, and the tape-recording `forwardTape`
+/// paths keep their activations on a caller-owned Tape, consumed by
+/// `backwardTape`.
 class Module {
  public:
   virtual ~Module() = default;
   virtual Tensor forward(const Tensor& x, GradMode mode) = 0;
   virtual Tensor backward(const Tensor& dy) = 0;
   virtual void collectParameters(std::vector<Parameter*>& out) = 0;
-  /// Clear the backward cache, write-free when already clear (the
-  /// per-concrete-class contract below).  Virtual so container modules
-  /// (PhaseMlp) and the concurrent-inference preparation step
-  /// (QiankunNet::prepareConcurrent) can clear heterogeneous layer lists.
-  virtual void invalidate() {}
 };
 
 /// Y = X W^T + b with W[out,in].  Forward and both backward GEMMs (dX = dY W,
@@ -50,9 +48,10 @@ class Linear : public Module {
   /// Module override uses kAuto.
   Tensor forward(const Tensor& x, GradMode mode, kernels::KernelPolicy policy);
   /// Raw-buffer inference for the zero-allocation decode path: y [rows, out]
-  /// is caller storage (workspace-carved), fully overwritten.  Counts as an
-  /// inference forward (invalidates the backward cache).
-  void forwardInto(const Real* x, Index rows, Real* y, kernels::KernelPolicy policy);
+  /// is caller storage (workspace-carved), fully overwritten.  Read-only:
+  /// leaves the backward cache intact.
+  void forwardInto(const Real* x, Index rows, Real* y,
+                   kernels::KernelPolicy policy) const;
   Tensor backward(const Tensor& dy) override;
   void collectParameters(std::vector<Parameter*>& out) override;
 
@@ -65,29 +64,16 @@ class Linear : public Module {
     Index rows = 0;
   };
   const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
-                          kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto);
+                          kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto) const;
   /// dx [rows, in_] carved from `tape`; dW/db accumulate with the same
   /// kernels and fold order as backward(), so ascending-tile calls reproduce
   /// the monolithic gradient bits.
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy,
                      kernels::KernelPolicy policy = kernels::KernelPolicy::kAuto);
 
-  /// Decode-path cache invalidation.  Write-free when already clear: the
-  /// tile-parallel evaluate sweep pre-invalidates on the calling thread, so
-  /// concurrent inference tiles perform no writes to shared module state
-  /// (see TransformerAR::evaluateDecode).
-  void invalidate() override { invalidateBecause(stale::kExplicit); }
-
   Parameter w, b;
 
  private:
-  void invalidateBecause(const char* why) {
-    if (!hasCache_) return;
-    cachedX_ = Tensor{};
-    hasCache_ = false;
-    staleReason_ = why;
-  }
-
   std::string name_;
   Index in_, out_;
   Tensor cachedX_;
@@ -114,28 +100,14 @@ class LayerNorm : public Module {
     const Real* invStd = nullptr;
     Index rows = 0;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows);
+  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows) const;
   /// dgamma/dbeta accumulate in the kernel's ascending-row serial fold, so
   /// ascending-tile calls match the monolithic fold bit for bit.
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy);
 
-  /// Decode-path cache invalidation: the transformer's decodeStep runs this
-  /// module's arithmetic on the kernels directly (an inference forward under
-  /// the Module invariant), so it clears the backward cache through this.
-  /// Write-free when already clear (see Linear::invalidate).
-  void invalidate() override { invalidateBecause(stale::kExplicit); }
-
   Parameter gamma, beta;
 
  private:
-  void invalidateBecause(const char* why) {
-    if (!hasCache_) return;
-    cachedXhat_ = Tensor{};
-    cachedInvStd_.clear();
-    hasCache_ = false;
-    staleReason_ = why;
-  }
-
   std::string name_;
   Index dim_;
   Tensor cachedXhat_;
@@ -159,21 +131,10 @@ class Gelu : public Module {
     const Real* x = nullptr;
     Index n = 0;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index n);
+  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index n) const;
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy);
 
-  /// Decode-path cache invalidation (see LayerNorm::invalidate); write-free
-  /// when already clear.
-  void invalidate() override { invalidateBecause(stale::kExplicit); }
-
  private:
-  void invalidateBecause(const char* why) {
-    if (!hasCache_) return;
-    cachedX_ = Tensor{};
-    hasCache_ = false;
-    staleReason_ = why;
-  }
-
   std::string name_;
   Tensor cachedX_;
   bool hasCache_ = false;
@@ -194,22 +155,10 @@ class TanhAct : public Module {
     const Real* y = nullptr;
     Index n = 0;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index n);
+  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index n) const;
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy);
 
-  /// Write-free when already clear, like the other modules: the concurrent
-  /// phase-MLP inference path (PhaseMlp::forwardInto) requires every layer's
-  /// cache cleared up front so serving threads never write shared state.
-  void invalidate() override { invalidateBecause(stale::kExplicit); }
-
  private:
-  void invalidateBecause(const char* why) {
-    if (!hasCache_) return;
-    cachedY_ = Tensor{};
-    hasCache_ = false;
-    staleReason_ = why;
-  }
-
   std::string name_;
   Tensor cachedY_;
   bool hasCache_ = false;
@@ -233,7 +182,7 @@ class Embedding {
   /// it back to backwardTape.  Rows must cover whole samples (rows % seqLen
   /// == 0) so position indices match the monolithic forward.
   const Real* forwardTape(Tape& tape, const int* tokens, Index rows,
-                          Index seqLen);
+                          Index seqLen) const;
   /// Ascending-row += into token/position grads — the monolithic loop split
   /// at tile boundaries, so ascending-tile calls are bit-identical.
   void backwardTape(const int* tokens, Index rows, Index seqLen,

@@ -9,10 +9,10 @@ namespace nnqs::nn {
 
 /// What a forward pass records for the subsequent backward.
 ///
-///  - kInference: compute outputs only.  Invalidates any previously recorded
-///    activations (module-resident or tape-held): a backward() after an
-///    inference forward throws StaleTapeError instead of silently computing
-///    gradients against stale inputs.
+///  - kInference: compute outputs only.  On the Tensor-level forward() this
+///    invalidates the module-resident activations of an earlier recording
+///    forward: a backward() after it throws StaleTapeError instead of silently
+///    computing gradients against stale inputs.
 ///  - kRecordTape: additionally store whatever the module needs so that a
 ///    single subsequent backward() can return dx and accumulate parameter
 ///    gradients.  The Tensor-level forward() records into module-resident
@@ -20,16 +20,21 @@ namespace nnqs::nn {
 ///    points record into a caller-owned Tape instead (the tiled-recompute
 ///    gradient path), so per-tile activations are released wholesale by
 ///    Tape::reset() rather than living until the next forward.
+///
+/// The Tensor-level forward()/backward() pair is the only code that touches
+/// module-resident caches.  The raw inference paths (forwardInto, decodeStep,
+/// evaluateDecode) are const and take no GradMode: they never write the
+/// network, so they neither invalidate a recording nor race with each other.
 enum class GradMode {
   kInference,
   kRecordTape,
 };
 
-/// backward() consumed-or-invalidated activation guard.  Thrown when a
-/// backward runs without a live recording forward; the message names the
-/// module instance and the event that invalidated (or never created) its
-/// activation record, in the typed-error style of io/checkpoint.hpp.
-/// Derives from std::logic_error so pre-existing catch sites keep working.
+/// backward() activation guard.  Thrown when a Tensor-level backward runs
+/// without a live recording forward; the message names the module instance
+/// and the event that invalidated (or never created) its activation record,
+/// in the typed-error style of io/checkpoint.hpp.  Derives from
+/// std::logic_error so pre-existing catch sites keep working.
 class StaleTapeError : public std::logic_error {
  public:
   StaleTapeError(const std::string& module, const std::string& invalidatedBy)
@@ -37,25 +42,19 @@ class StaleTapeError : public std::logic_error {
                          invalidatedBy + ")") {}
 };
 
-/// Invalidation reasons recorded by the modules for StaleTapeError messages.
-/// String constants (not an enum) so the guarded single-writer update — the
-/// reason is only written while clearing a *live* cache, keeping invalidate()
-/// write-free when already clear, the concurrent-inference precondition — can
-/// stay a single pointer store.
+/// Reasons a StaleTapeError names.  Only Tensor-level forwards and the
+/// QiankunNet-level guards (evaluate/phases/evaluateGrad/prepareConcurrent)
+/// invalidate; raw inference never does.
 namespace stale {
 inline constexpr const char* kNeverRecorded =
     "no GradMode::kRecordTape forward has run";
 inline constexpr const char* kInferenceForward =
     "invalidated by a GradMode::kInference forward";
-inline constexpr const char* kRawForward =
-    "invalidated by a raw-buffer inference forward (forwardInto)";
-inline constexpr const char* kDecodeStep =
-    "invalidated by an incremental decodeStep";
 inline constexpr const char* kTapeForward =
     "invalidated by a tape-recording forward onto a caller-owned Tape "
     "(backward for it goes through backwardTape)";
 inline constexpr const char* kExplicit =
-    "invalidated by an explicit invalidate()";
+    "invalidated by an explicit prepareConcurrent()";
 }  // namespace stale
 
 /// Caller-owned activation store of the tiled-recompute gradient path: one

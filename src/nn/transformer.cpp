@@ -25,7 +25,7 @@ Tensor DecoderBlock::forward(const Tensor& x, GradMode mode) {
 }
 
 const Real* DecoderBlock::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
-                                      Index rows) {
+                                      Index rows) const {
   const Index n = rows * d_;
   // Same arithmetic sequence as the Tensor forward above — unfused LNs and
   // explicit residual adds — so the recomputed tile is bit-identical to the
@@ -47,14 +47,11 @@ const Real* DecoderBlock::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
 }
 
 void DecoderBlock::decodeStep(const Real* a, const Real* r, DecodeState& state,
-                              Index layer, const Real** aOut, const Real** rOut) {
+                              Index layer, const Real** aOut,
+                              const Real** rOut) const {
   const Index batch = state.batch;
   const Index n = batch * d_;
   Workspace& ws = state.ws;
-  // Kernel calls below are inference forwards (modules.hpp invariant).
-  ln1_.invalidate();
-  ln2_.invalidate();
-  gelu_.invalidate();
 
   // ln1, fused with the previous stage's deferred residual: materializes the
   // block input x = a + r (needed again as the attention residual) while the
@@ -130,15 +127,6 @@ Real* DecoderBlock::backwardTape(Tape& tape, const TapeFrame& f,
   return dx;
 }
 
-void DecoderBlock::invalidate() {
-  ln1_.invalidate();
-  attn_.invalidate();
-  ln2_.invalidate();
-  ff1_.invalidate();
-  ff2_.invalidate();
-  gelu_.invalidate();
-}
-
 void DecoderBlock::collectParameters(std::vector<Parameter*>& out) {
   ln1_.collectParameters(out);
   attn_.collectParameters(out);
@@ -204,7 +192,7 @@ void TransformerAR::beginDecode(DecodeState& state, Index batch,
 }
 
 const Tensor& TransformerAR::decodeStep(DecodeState& state,
-                                        const std::vector<int>& tokens) {
+                                        const std::vector<int>& tokens) const {
   if (static_cast<Index>(tokens.size()) != state.batch)
     throw std::invalid_argument("TransformerAR::decodeStep: token/batch mismatch");
   if (state.len >= state.maxLen)
@@ -228,7 +216,6 @@ const Tensor& TransformerAR::decodeStep(DecodeState& state,
   ++state.len;
 
   // Final LayerNorm, fused with the last block's deferred residual.
-  lnFinal_.invalidate();
   Real* lnOut = ws.alloc(batch * d_);
   kernels::ResidualLnArgs lnf;
   lnf.rows = batch;
@@ -247,15 +234,6 @@ const Tensor& TransformerAR::decodeStep(DecodeState& state,
   state.logits.data.resize(static_cast<std::size_t>(batch * kOutcomes));
   head_.forwardInto(lnOut, batch, state.logits.data.data(), state.kernel);
   return state.logits;  // [B, 4]
-}
-
-void TransformerAR::invalidateDecodeCaches() {
-  for (auto& b : blocks_) b->invalidate();
-  lnFinal_.invalidate();
-  head_.invalidate();
-  // Embedding::stepInto is const (it never caches), so embed_ needs no
-  // clearing here; its cache only exists after a recording forward, which
-  // the QiankunNet-level guard already pairs with exactly one backward.
 }
 
 void TransformerAR::backward(const Tensor& dLogits) {
@@ -292,7 +270,7 @@ Tensor PhaseMlp::forward(const Tensor& x, GradMode mode) {
 }
 
 void PhaseMlp::forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
-                           kernels::KernelPolicy policy) {
+                           kernels::KernelPolicy policy) const {
   // The caller owns the carve cycle (x itself may be carved from `ws`, so a
   // reset here would let the first layer's destination overlap its input).
   // Layer list is [Linear, Tanh]* + Linear (see the constructor): Linear
@@ -301,13 +279,13 @@ void PhaseMlp::forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
   const Real* cur = x;
   Real* curMut = nullptr;
   Index width = 0;
-  for (auto& l : layers_) {
-    if (auto* lin = dynamic_cast<Linear*>(l.get())) {
+  for (const auto& l : layers_) {
+    if (const auto* lin = dynamic_cast<const Linear*>(l.get())) {
       width = lin->w.value.shape[0];
       Real* y = ws.alloc(rows * width);
       lin->forwardInto(cur, rows, y, policy);
       cur = curMut = y;
-    } else if (dynamic_cast<TanhAct*>(l.get()) != nullptr) {
+    } else if (dynamic_cast<const TanhAct*>(l.get()) != nullptr) {
       for (Index i = 0; i < rows * width; ++i) curMut[i] = std::tanh(curMut[i]);
     } else {
       throw std::logic_error("PhaseMlp::forwardInto: unsupported layer type");
@@ -319,20 +297,20 @@ void PhaseMlp::forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
 }
 
 const Real* PhaseMlp::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
-                                  Index rows) {
+                                  Index rows) const {
   std::size_t nLin = 0, nTanh = 0;
-  for (auto& l : layers_)
-    (dynamic_cast<Linear*>(l.get()) != nullptr) ? ++nLin : ++nTanh;
+  for (const auto& l : layers_)
+    (dynamic_cast<const Linear*>(l.get()) != nullptr) ? ++nLin : ++nTanh;
   f.linear.resize(nLin);  // no-op reuse on warm tiles
   f.tanh.resize(nTanh);
   const Real* cur = x;
   Index width = 0;
   std::size_t li = 0, ti = 0;
-  for (auto& l : layers_) {
-    if (auto* lin = dynamic_cast<Linear*>(l.get())) {
+  for (const auto& l : layers_) {
+    if (const auto* lin = dynamic_cast<const Linear*>(l.get())) {
       cur = lin->forwardTape(tape, f.linear[li++], cur, rows);
       width = lin->w.value.shape[0];
-    } else if (auto* th = dynamic_cast<TanhAct*>(l.get())) {
+    } else if (const auto* th = dynamic_cast<const TanhAct*>(l.get())) {
       cur = th->forwardTape(tape, f.tanh[ti++], cur, rows * width);
     } else {
       throw std::logic_error("PhaseMlp::forwardTape: unsupported layer type");
@@ -357,10 +335,6 @@ void PhaseMlp::backwardTape(Tape& tape, const TapeFrame& f,
       throw std::logic_error("PhaseMlp::backwardTape: unsupported layer type");
     }
   }
-}
-
-void PhaseMlp::invalidate() {
-  for (auto& l : layers_) l->invalidate();
 }
 
 void PhaseMlp::backward(const Tensor& dPhase) {

@@ -31,7 +31,7 @@ class DecoderBlock : public Module {
   /// ln1 — so no separate residual sweep ever runs on the decode path.  All
   /// buffers are carved from `state.ws`; a warm step touches no heap.
   void decodeStep(const Real* a, const Real* r, DecodeState& state, Index layer,
-                  const Real** aOut, const Real** rOut);
+                  const Real** aOut, const Real** rOut) const;
 
   /// Tile-recompute record of one block: submodule frames plus the two
   /// residual streams (block input x, post-attention h), all tape-resident.
@@ -47,12 +47,8 @@ class DecoderBlock : public Module {
     const Real* h = nullptr;  ///< post-attention residual stream [rows, d]
     Index rows = 0;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows);
+  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows) const;
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy);
-
-  /// Invalidate every submodule's backward cache (write-free when already
-  /// clear; see TransformerAR::evaluateDecode's tile-parallel driver).
-  void invalidate();
 
  private:
   Index d_, ffDim_;
@@ -107,8 +103,10 @@ class TransformerAR {
   /// prefixes.  Advances state.len.  The returned tensor is `state.logits`
   /// (state-owned, overwritten by the next step): with every activation
   /// carved from the state's workspace, a warm step performs zero heap
-  /// allocations.
-  const Tensor& decodeStep(DecodeState& state, const std::vector<int>& tokens);
+  /// allocations.  Read-only on the network: any number of threads may step
+  /// distinct states concurrently.
+  const Tensor& decodeStep(DecodeState& state,
+                           const std::vector<int>& tokens) const;
 
   /// Teacher-forced batched evaluation on the incremental-decode engine:
   /// `tokens` is the flattened [B, L'] input window exactly as forward()
@@ -136,14 +134,15 @@ class TransformerAR {
   /// parallel, one DecodeState per thread (state.aux), each running the
   /// single-threaded SIMD kernels — coarse-grained parallelism instead of
   /// forking inside every 256-row step.  Per-tile arithmetic is unchanged,
-  /// so the bits stay identical; the sink must tolerate concurrent calls for
+  /// so the bits stay identical.  The sweep is const — the tile threads only
+  /// read the network — and the sink must tolerate concurrent calls for
   /// *different* tiles (within a tile, calls arrive in ascending s on one
   /// thread).  Disjoint per-row outputs — the natural sink shape — need no
   /// synchronization.
   template <typename Sink>
   void evaluateDecode(DecodeState& state, const std::vector<int>& tokens,
                       Index batch, Index window, Index tileRows,
-                      kernels::KernelPolicy kernel, Sink&& sink) {
+                      kernels::KernelPolicy kernel, Sink&& sink) const {
     if (static_cast<Index>(tokens.size()) != batch * window)
       throw std::invalid_argument("evaluateDecode: tokens/batch/window mismatch");
     if (window > seqLen_)
@@ -169,12 +168,8 @@ class TransformerAR {
     if ((kernel == kernels::KernelPolicy::kThreaded ||
          kernel == kernels::KernelPolicy::kAuto) &&
         maxThreads > 1 && batch > tileRows) {
-      // The worker threads share this network's modules.  Their decodeStep
-      // invalidation calls are write-free only once every backward cache is
-      // already clear, so clear them all here, on the calling thread, before
-      // forking — after this the tile sweeps only *read* shared state
-      // (parameters), and all mutation is per-thread (DecodeState).
-      invalidateDecodeCaches();
+      // The worker threads share this network's modules, which decodeStep
+      // only reads (it is const); all mutation is per-thread (DecodeState).
       // Shrink the tile (not below kMinEvalTileRows, where the per-step
       // GEMMs lose their efficiency) until the tile count covers the thread
       // pool — otherwise a batch of 2 tiles on a 16-thread host would pin 14
@@ -217,14 +212,6 @@ class TransformerAR {
   /// pool: below this the per-step GEMMs are too short to amortize.
   static constexpr Index kMinEvalTileRows = 32;
 
-  /// Clear every amplitude module's backward cache (each write-free when
-  /// already clear), making subsequent decode steps mutation-free on shared
-  /// module state — the precondition of the tile-parallel evaluate sweep,
-  /// and (public since the serving layer) of concurrent evaluateDecode calls
-  /// from multiple threads on distinct DecodeStates
-  /// (QiankunNet::prepareConcurrent).
-  void invalidateDecodeCaches();
-
  private:
   Index seqLen_, d_;
   Embedding embed_;
@@ -248,10 +235,10 @@ class PhaseMlp {
   /// reset here).  Bit-identical to forward(GradMode::kInference) — the
   /// Linear layers run the same kernels::gemm and the tanh layers the same
   /// per-element std::tanh — but performs zero heap allocations once `ws` is
-  /// warm and, after invalidate(), never writes shared module state: the
-  /// serving layer runs this concurrently from many worker threads.
+  /// warm and never writes module state: the serving layer runs this
+  /// concurrently from many worker threads.
   void forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
-                   kernels::KernelPolicy policy);
+                   kernels::KernelPolicy policy) const;
 
   /// Tile-recompute record: one Linear frame per Linear layer, one TanhAct
   /// frame per activation, caller-owned and reused across tiles.  Returns
@@ -261,12 +248,8 @@ class PhaseMlp {
     std::vector<TanhAct::TapeFrame> tanh;
     Index rows = 0;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows);
+  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows) const;
   void backwardTape(Tape& tape, const TapeFrame& f, const Real* dPhase);
-
-  /// Clear every layer's backward cache (each write-free when already clear);
-  /// the precondition for concurrent forwardInto calls.
-  void invalidate();
 
   void backward(const Tensor& dPhase);
   void collectParameters(std::vector<Parameter*>& out);

@@ -123,7 +123,7 @@ void QiankunNet::inputTokens(const std::vector<Bits128>& samples,
 }
 
 void QiankunNet::stepLogAmp(const Real* lg, Bits128 sample, int s, int& nUp,
-                            int& nDown, Real& la, Real* pr) {
+                            int& nDown, Real& la, Real* pr) const {
   const auto mask = outcomeMask(s, nUp, nDown);
   maskedSoftmax4(lg, mask, pr);
   const int chosen = tokenOf(sample, s);
@@ -171,7 +171,8 @@ void QiankunNet::amplitudesFullForward(const std::vector<Bits128>& samples,
 void QiankunNet::decodeLogAmp(EvalSlot& slot,
                               const std::vector<Bits128>& samples,
                               std::vector<Real>& logAmp,
-                              nn::kernels::KernelPolicy kernel, Index tileRows) {
+                              nn::kernels::KernelPolicy kernel,
+                              Index tileRows) const {
   const int L = nSteps();
   const Index batch = static_cast<Index>(samples.size());
   inputTokens(samples, slot.tokens);
@@ -290,6 +291,9 @@ void QiankunNet::seedLogitRow(Real seed, Bits128 sample, int s, const Real* pr,
 void QiankunNet::backward(const std::vector<Real>& dLogAmp,
                           const std::vector<Real>& dPhase) {
   if (cachedBatch_ < 0) throw nn::StaleTapeError("QiankunNet", staleReason_);
+  const auto recorded = static_cast<std::size_t>(cachedBatch_);
+  if (dLogAmp.size() != recorded || dPhase.size() != recorded)
+    throw std::invalid_argument("QiankunNet::backward: seed/sample size mismatch");
   if (cachedBatch_ == 0) {  // empty chunk: gradients stay zero
     cachedBatch_ = -1;
     staleReason_ = "already consumed by a previous backward";
@@ -403,19 +407,13 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
 }
 
 void QiankunNet::prepareConcurrent() {
-  // Clear every backward cache on this (single) thread.  All the
-  // invalidate() calls the decode sweep and the phase MLP's forwardInto
-  // perform afterwards hit already-clear caches, which the modules guarantee
-  // to be write-free — so concurrent evaluateInto() calls only read shared
-  // network state (parameters), and all mutation lands in per-caller slots.
-  amplitude_.invalidateDecodeCaches();
-  phase_.invalidate();
   invalidateEvaluate(nn::stale::kExplicit);
 }
 
 void QiankunNet::evaluateInto(EvalSlot& slot, const std::vector<Bits128>& samples,
                               std::vector<Real>& logAmp, std::vector<Real>& phase,
-                              nn::kernels::KernelPolicy kernel, Index tileRows) {
+                              nn::kernels::KernelPolicy kernel,
+                              Index tileRows) const {
   // Amplitude: the same sweep evaluate() runs, on the caller's slot.
   decodeLogAmp(slot, samples, logAmp, kernel, tileRows);
   const Index batch = static_cast<Index>(samples.size());
@@ -453,6 +451,9 @@ void QiankunNet::flattenGradients(std::vector<Real>& out) {
 }
 
 void QiankunNet::loadGradients(const std::vector<Real>& in) {
+  if (static_cast<Index>(in.size()) != parameterCount())
+    throw std::invalid_argument(
+        "QiankunNet::loadGradients: size does not match parameterCount()");
   std::size_t off = 0;
   for (auto* p : parameters()) {
     std::copy(in.begin() + static_cast<std::ptrdiff_t>(off),

@@ -118,7 +118,8 @@ class QiankunNet {
   /// GradMode::kInference runs the engine selected by setEvalPolicy() and
   /// *invalidates* any recorded evaluate, so a stale backward() throws
   /// (nn::StaleTapeError naming the invalidating event) instead of using old
-  /// activations.
+  /// activations.  Only these net-level calls (evaluate, phases,
+  /// evaluateGrad) invalidate; the const evaluateInto() never does.
   void evaluate(const std::vector<Bits128>& samples, std::vector<Real>& logAmp,
                 std::vector<Real>& phase, nn::GradMode mode);
 
@@ -144,7 +145,8 @@ class QiankunNet {
   std::vector<Complex> psi(const std::vector<Bits128>& samples);
 
   /// Backprop the VMC loss seeds d/d(ln|Psi|) and d/d(phi) per sample of the
-  /// last recording evaluate().
+  /// last recording evaluate().  Both seed vectors must hold one entry per
+  /// recorded sample (std::invalid_argument otherwise).
   void backward(const std::vector<Real>& dLogAmp, const std::vector<Real>& dPhase);
 
   /// The recompute-in-tiles training step: forward + backward over `samples`
@@ -190,6 +192,8 @@ class QiankunNet {
   [[nodiscard]] Index parameterCount();
 
   void flattenGradients(std::vector<Real>& out);
+  /// Inverse of flattenGradients; `in` must hold exactly parameterCount()
+  /// values (std::invalid_argument otherwise).
   void loadGradients(const std::vector<Real>& in);
 
   // --- Concurrent inference (the amplitude-serving path, src/serve/) --------
@@ -206,27 +210,28 @@ class QiankunNet {
     nn::Workspace phaseWs;
   };
 
-  /// Make subsequent evaluateInto() calls safe to run concurrently from many
-  /// threads (each with its own EvalSlot): clears every module's backward
-  /// cache — after which the per-step invalidate() calls inside the decode
-  /// sweep are write-free — and drops any cached evaluate, so inference only
-  /// *reads* shared network state.  Call once after construction/loading and
-  /// after any recording evaluate; concurrent callers must not interleave
-  /// with evaluate()/phases()/backward() (which mutate shared scratch).
+  /// Drop any recorded evaluate (a later backward() throws StaleTapeError
+  /// naming this call).  Concurrent evaluateInto() needs no preparation: it
+  /// is const and never writes the network; this remains for callers that
+  /// want a net with no pending recording before they hand it out.
   void prepareConcurrent();
 
   /// ln|Psi| and phase of `samples` using only `slot` for mutable state —
   /// bit-identical to an inference evaluate() under the kKvCache policy with
   /// the same kernel, for any batch composition (per-row arithmetic is
   /// independent of the surrounding batch, the serving layer's coalescing
-  /// contract).  `kernel` should be a non-forking policy (kSimd/kScalar) when
-  /// called from concurrent workers; `tileRows` is the evaluate tile
-  /// (0 = TransformerAR::kEvalTileRows).
+  /// contract).  Const: any number of threads may call it at once, each with
+  /// its own EvalSlot, and a recording evaluate made before stays valid for
+  /// its backward().  Only the non-const calls (evaluate, phases, backward,
+  /// evaluateGrad, parameter updates) must not overlap it.  `kernel` should
+  /// be a non-forking policy (kSimd/kScalar) when called from concurrent
+  /// workers; `tileRows` is the evaluate tile (0 =
+  /// TransformerAR::kEvalTileRows).
   void evaluateInto(EvalSlot& slot, const std::vector<Bits128>& samples,
                     std::vector<Real>& logAmp, std::vector<Real>& phase,
                     nn::kernels::KernelPolicy kernel =
                         nn::kernels::KernelPolicy::kSimd,
-                    Index tileRows = 0);
+                    Index tileRows = 0) const;
 
  private:
   /// Tokens of a full sample in network input order: [BOS, t_0 .. t_{L-2}].
@@ -246,7 +251,7 @@ class QiankunNet {
   /// heap allocations once the slot is warm.
   void decodeLogAmp(EvalSlot& slot, const std::vector<Bits128>& samples,
                     std::vector<Real>& logAmp, nn::kernels::KernelPolicy kernel,
-                    Index tileRows);
+                    Index tileRows) const;
 
   /// The phase-MLP forward shared by evaluate() and phases(): +-1 encode the
   /// qubit strings, run the MLP, copy the scalar outputs.
@@ -259,7 +264,7 @@ class QiankunNet {
   /// tiled evaluateGrad(), so their arithmetic cannot drift apart.
   void seedLogitRow(Real seed, Bits128 sample, int s, const Real* pr, Real* dl) const;
 
-  /// Drop any recorded evaluate (write-free when none), recording `why` for
+  /// Drop any recorded evaluate (a no-op when none), recording `why` for
   /// the StaleTapeError a subsequent backward() raises.
   void invalidateEvaluate(const char* why);
 
@@ -269,7 +274,7 @@ class QiankunNet {
   /// accumulation step of *both* amplitude paths, so their arithmetic — and
   /// the decode-vs-full bit-identity contract — cannot drift apart.
   void stepLogAmp(const Real* lg, Bits128 sample, int s, int& nUp, int& nDown,
-                  Real& la, Real* pr);
+                  Real& la, Real* pr) const;
 
   QiankunNetConfig cfg_;
   Rng rng_;

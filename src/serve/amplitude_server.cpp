@@ -50,7 +50,6 @@ AmplitudeServer::AmplitudeServer(const io::CheckpointReader& checkpoint,
   if (opts_.queueCapacityRequests < 1 || opts_.queueCapacityRows < 1)
     throw std::invalid_argument("AmplitudeServer: queue capacities must be >= 1");
   net_ = io::makeNet(checkpoint);
-  net_->prepareConcurrent();
   ring_.assign(opts_.queueCapacityRequests, nullptr);
   start();
 }

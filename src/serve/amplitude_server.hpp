@@ -9,10 +9,10 @@
 // into evaluateDecode batches under a latency-deadline batcher: a batch is
 // flushed as soon as it reaches `maxBatch` rows, or when the *oldest* queued
 // request has waited `maxDelayUs`, whichever comes first (during shutdown the
-// queue drains immediately).  Each worker evaluates on its own
-// QiankunNet::EvalSlot — the PR 5 per-thread-state isolation pattern — after
-// a single prepareConcurrent() at load time, so the warm serve loop performs
-// zero heap allocations and never writes shared network state.
+// queue drains immediately).  The server holds the net as const: every
+// worker calls the const QiankunNet::evaluateInto on its own EvalSlot, so
+// the workers share the weights read-only with no preparation step, and the
+// warm serve loop performs zero heap allocations.
 //
 // Determinism contract: per-row decode arithmetic is independent of the
 // surrounding batch (each GEMM row is its own ascending-k accumulation;
@@ -182,7 +182,7 @@ class AmplitudeServer {
   void evaluateBatch(Worker& wk);
 
   ServeOptions opts_;
-  std::unique_ptr<nqs::QiankunNet> net_;
+  std::unique_ptr<const nqs::QiankunNet> net_;
 
   mutable std::mutex mu_;
   std::condition_variable workCv_;   ///< workers: work available / state change

@@ -8,19 +8,10 @@
 #include <cmath>
 #include <vector>
 
-#include "nn/kernels/gemm.hpp"
 #include "nqs/sampler.hpp"
 
 using namespace nnqs;
 using namespace nnqs::nqs;
-
-// The bit-identity tests assume every GEMM policy reproduces the naive
-// loop's bits.  A -DNNQS_WITH_BLAS build deliberately trades that away for
-// dgemm speed (only kScalar stays exact there), so the cross-engine
-// sample-set comparisons are skipped rather than left latently flaky.
-#define NNQS_SKIP_IF_BLAS()                                                  \
-  if (nnqs::nn::kernels::gemmUsesBlas())                                     \
-    GTEST_SKIP() << "BLAS GEMM route is not bit-identical across policies"
 
 namespace {
 
@@ -137,7 +128,6 @@ TEST(Decode, BatchBasBitIdenticalAcrossPolicies) {
   // sample set: the kernel backends share one arithmetic contract
   // (src/nn/kernels/attn_row.hpp), so this holds bit for bit, not just
   // statistically.
-  NNQS_SKIP_IF_BLAS();
   QiankunNet net(smallConfig(12, 3, 3));
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
@@ -156,7 +146,6 @@ TEST(Decode, BatchBasBitIdenticalAcrossPolicies) {
 }
 
 TEST(Decode, ParallelBasBitIdenticalAcrossPolicies) {
-  NNQS_SKIP_IF_BLAS();
   QiankunNet net(smallConfig(12, 3, 2));
   SamplerOptions opts;
   opts.nSamples = 1 << 13;
@@ -176,7 +165,6 @@ TEST(Decode, ParallelBasBitIdenticalAcrossPolicies) {
 }
 
 TEST(Decode, SingleSampleBitIdenticalAcrossPolicies) {
-  NNQS_SKIP_IF_BLAS();
   QiankunNet net(smallConfig(10, 2, 3));
   for (std::uint64_t seed : {3u, 17u, 90u}) {
     Rng rngA(seed), rngB(seed);
@@ -191,7 +179,6 @@ TEST(Decode, StateReuseAcrossSweepsIsBitIdentical) {
   // sweeps without re-allocation or re-zeroing; a reused state must produce
   // exactly the bits of a fresh one — no stale K/V, workspace, or logits
   // contents may leak into the next sweep.
-  NNQS_SKIP_IF_BLAS();
   const Index L = 6, d = 16, heads = 4, layers = 2;
   Rng rng(31);
   nn::TransformerAR net(L, d, heads, layers, rng);

@@ -11,18 +11,10 @@
 #include <stdexcept>
 #include <vector>
 
-#include "nn/kernels/gemm.hpp"
 #include "nqs/ansatz.hpp"
 
 using namespace nnqs;
 using namespace nnqs::nqs;
-
-// The decode/full-forward bit-identity rests on every GEMM policy
-// reproducing the naive loop's bits; a -DNNQS_WITH_BLAS build trades that
-// away, so the exact comparisons are skipped there (test_decode.cpp idiom).
-#define NNQS_SKIP_IF_BLAS()                                                  \
-  if (nnqs::nn::kernels::gemmUsesBlas())                                     \
-    GTEST_SKIP() << "BLAS GEMM route is not bit-identical across policies"
 
 namespace {
 
@@ -89,7 +81,6 @@ TEST(Evaluate, DecodeMatchesFullForwardBitIdentical) {
   // empty batch, sub-tile batches, and batches spanning several tiles with a
   // ragged final tile (tileRows = 4 below).  Out-of-sector samples must hit
   // the same zero-amplitude sentinel on both paths.
-  NNQS_SKIP_IF_BLAS();
   const int n = 12, na = 3, nb = 2;
   QiankunNet net(smallConfig(n, na, nb));
   std::vector<Bits128> pool = numberSector(n, na, nb);
@@ -122,7 +113,6 @@ TEST(Evaluate, TransformerEvaluateDecodeMatchesForwardLogits) {
   // TransformerAR level: the teacher-forced sweep's per-position logits are
   // bit-identical to the corresponding positions of forward(), including
   // across tile boundaries (batch 10, tileRows 3 -> tiles of 3, 3, 3, 1).
-  NNQS_SKIP_IF_BLAS();
   const Index L = 7, d = 16, heads = 4, layers = 2, batch = 10;
   Rng rng(41);
   nn::TransformerAR net(L, d, heads, layers, rng);
@@ -169,7 +159,6 @@ TEST(Evaluate, EvaluateDecodeRejectsBadShapes) {
 TEST(Evaluate, PsiSharesTheEvaluateEntryPoint) {
   // psi() = psiValue over evaluate() output: decode and full-forward give
   // the same complex values, and out-of-sector samples map to exactly 0.
-  NNQS_SKIP_IF_BLAS();
   const int n = 10, na = 2, nb = 2;
   QiankunNet net(smallConfig(n, na, nb, 23));
   std::vector<Bits128> samples = numberSector(n, na, nb);
@@ -193,7 +182,6 @@ TEST(Evaluate, GradientsAfterCachedEvaluateMatchAcrossPolicies) {
   // bit-identical gradients whether the net's inference policy is decode or
   // full-forward (the cached evaluate itself always runs full-forward; the
   // policy must not leak into the gradient path).
-  NNQS_SKIP_IF_BLAS();
   const int n = 10, na = 2, nb = 2;
   const auto samples = [&] {
     auto s = numberSector(n, na, nb);
@@ -302,7 +290,6 @@ TEST(EvaluateGrad, TiledBitIdenticalToMonolithicAcrossTileGeometries) {
   // single-sample tiles, a ragged last tile (32 on batch 70 -> 32, 32, 6),
   // one tile larger than the batch (256 > 70, single ragged tile), an
   // exact-batch tile, and the engine default (0).
-  NNQS_SKIP_IF_BLAS();
   const int n = 12, na = 3, nb = 2;
   const auto samples = [&] {
     auto s = numberSector(n, na, nb);
@@ -382,7 +369,6 @@ TEST(EvaluateGrad, DecodePolicyDoesNotLeakIntoTiledGradients) {
   // evaluateGrad always re-runs the recording full forward per tile; the
   // inference engine selected for evaluate()/psi() must not perturb it,
   // even with an inference evaluate interleaved (the VMC loop's shape).
-  NNQS_SKIP_IF_BLAS();
   const int n = 10, na = 2, nb = 2;
   const auto samples = [&] {
     auto s = numberSector(n, na, nb);
@@ -486,4 +472,30 @@ TEST(EvaluateGrad, SetEvalPolicyRejectsNegativeTileRows) {
     EXPECT_THROW(net.setEvalPolicy(ex), std::invalid_argument) << "field " << field;
   }
   EXPECT_EQ(net.evalPolicy(), DecodePolicy::kKvCache);
+}
+
+TEST(EvaluateGrad, ShortSeedAndGradientVectorsAreRejected) {
+  // backward() and loadGradients() index their inputs by recorded sample and
+  // by parameter; a short vector must throw instead of reading past its end.
+  const auto samples = [] {
+    auto s = numberSector(8, 2, 2);
+    s.resize(3);
+    return s;
+  }();
+  QiankunNet net(smallConfig(8, 2, 2));
+  std::vector<Real> la, ph;
+  const std::vector<Real> full = {0.1, 0.2, 0.3}, shortSeed = {0.1, 0.2};
+  net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
+  EXPECT_THROW(net.backward(shortSeed, full), std::invalid_argument);
+  EXPECT_THROW(net.backward(full, shortSeed), std::invalid_argument);
+  // A rejected call leaves the recording in place for a valid backward.
+  EXPECT_NO_THROW(net.backward(full, full));
+
+  std::vector<Real> grads;
+  net.flattenGradients(grads);
+  ASSERT_EQ(static_cast<Index>(grads.size()), net.parameterCount());
+  grads.pop_back();
+  EXPECT_THROW(net.loadGradients(grads), std::invalid_argument);
+  grads.resize(grads.size() + 2, 0.0);
+  EXPECT_THROW(net.loadGradients(grads), std::invalid_argument);
 }

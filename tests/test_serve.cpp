@@ -117,6 +117,50 @@ TEST(Serve, ServedBitsMatchDirectEvaluateUnderConcurrency) {
   server.shutdown();
 }
 
+TEST(Serve, ConcurrentEvaluateIntoLeavesARecordingIntact) {
+  // evaluateInto is const: concurrent calls need no preparation, and a
+  // recording made before them backpropagates exactly as if they had never
+  // run.  The recording covers 2 samples so no OpenMP team forks here.
+  const auto sector = numberSector(8, 2, 2);
+  const std::vector<Bits128> recorded(sector.begin(), sector.begin() + 2);
+  const std::vector<Real> dLogAmp = {0.75, -1.25}, dPhase = {0.5, 2.0};
+  std::vector<Real> la, ph;
+
+  // Reference gradients: record -> backward with no inference in between.
+  nqs::QiankunNet ref(smallConfig(47));
+  ref.evaluate(recorded, la, ph, nn::GradMode::kRecordTape);
+  ref.backward(dLogAmp, dPhase);
+  std::vector<Real> refGrad;
+  ref.flattenGradients(refGrad);
+
+  nqs::QiankunNet net(smallConfig(47));
+  std::vector<Real> serialLa, serialPh;
+  nqs::QiankunNet::EvalSlot serialSlot;
+  net.evaluateInto(serialSlot, sector, serialLa, serialPh);
+
+  net.evaluate(recorded, la, ph, nn::GradMode::kRecordTape);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<Real>> thLa(kThreads), thPh(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      nqs::QiankunNet::EvalSlot slot;
+      net.evaluateInto(slot, sector, thLa[static_cast<std::size_t>(t)],
+                       thPh[static_cast<std::size_t>(t)]);
+    });
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(thLa[static_cast<std::size_t>(t)], serialLa) << "thread " << t;
+    EXPECT_EQ(thPh[static_cast<std::size_t>(t)], serialPh) << "thread " << t;
+  }
+
+  ASSERT_NO_THROW(net.backward(dLogAmp, dPhase));
+  std::vector<Real> grad;
+  net.flattenGradients(grad);
+  EXPECT_EQ(grad, refGrad);
+}
+
 TEST(Serve, BackpressureRejectsInsteadOfBlocking) {
   const auto ckpt = makeCheckpoint(29);
   const auto sector = numberSector(8, 2, 2);

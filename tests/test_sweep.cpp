@@ -12,7 +12,6 @@
 #include <new>
 #include <stdexcept>
 
-#include "nn/kernels/gemm.hpp"
 #include "nqs/sampler.hpp"
 
 // ---- Allocation-counting hook (microbench_kernels.cpp idiom) ---------------
@@ -36,12 +35,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace nnqs;
 using namespace nnqs::nqs;
-
-// Different tile geometries reshape the decode GEMM batches, so exact
-// comparisons need the row-independent in-tree kernels (test_evaluate idiom).
-#define NNQS_SKIP_IF_BLAS()                                                  \
-  if (nnqs::nn::kernels::gemmUsesBlas())                                     \
-    GTEST_SKIP() << "BLAS GEMM route is not bit-identical across batch shapes"
 
 namespace {
 
@@ -83,7 +76,6 @@ constexpr int kUntiled = 1 << 30;
 TEST(Sweep, TileGeometryIsBitIdentical) {
   // Untiled reference vs ragged tiny tiles, the default, one huge tile, and
   // tile == 1 (maximal deferral): identical sample sets, weights, ln|Psi|.
-  NNQS_SKIP_IF_BLAS();
   QiankunNet net(smallConfig(12, 3, 3));
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
@@ -103,7 +95,6 @@ TEST(Sweep, FusedLogAmpMatchesSeparateEvaluate) {
   // The fusion contract: SampleSet::logAmp must equal a separate evaluate()
   // over the same samples bit for bit — on the KV-cached sweep (tiled and
   // untiled) and on the full-forward reference sweep.
-  NNQS_SKIP_IF_BLAS();
   QiankunNet net(smallConfig(12, 3, 3));
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
@@ -129,7 +120,6 @@ TEST(Sweep, PrefixFreeMatchesPrefixCarryingSweep) {
   // materializes a token prefix, must draw exactly what the full-forward
   // reference sweep (prefix-carrying, since its conditionals consume them)
   // draws.
-  NNQS_SKIP_IF_BLAS();
   QiankunNet net(smallConfig(12, 3, 3));
   SamplerOptions opts;
   opts.nSamples = 1 << 14;
@@ -146,7 +136,6 @@ TEST(Sweep, ParallelUnionEqualsSerialExactly) {
   // weights, same fused ln|Psi| — not just in totals.  Threshold 8 splits the
   // tree mid-sweep; 1 << 30 is above the final frontier size, so the tree
   // ends before the split and the leaves are dealt round-robin.
-  NNQS_SKIP_IF_BLAS();
   const int ranks = 4;
   QiankunNet net(smallConfig(12, 3, 3));
   SamplerOptions opts;

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "chem/basis_set.hpp"
-#include "nn/kernels/gemm.hpp"
 #include "chem/geometry_library.hpp"
 #include "fci/fci.hpp"
 #include "io/checkpoint.hpp"
@@ -189,8 +188,6 @@ TEST(Vmc, TileGeometryLeavesTrajectoryBitIdentical) {
   // they compute — so the whole multi-rank trajectory must match the untiled
   // run bit for bit.  (The sweep's ln|Psi| equals a separate evaluate() bit
   // for bit: Sweep.FusedLogAmpMatchesSeparateEvaluate.)
-  if (nn::kernels::gemmUsesBlas())
-    GTEST_SKIP() << "BLAS GEMM route is not bit-identical across batch shapes";
   const System s = buildSystem("LiH");
   VmcOptions opts;
   opts.iterations = 8;
