@@ -277,15 +277,22 @@ nn::Tensor CheckpointReader::getTensor(const std::string& name) const {
   const Section& s = find(name, SectionKind::kTensor);
   Cursor c{s.payload.data(), s.payload.size()};
   const std::uint32_t rank = c.u32(name + ".rank");
+  // Validate against the payload before allocating: a hostile rank must not
+  // size the shape vector, and a hostile shape must not overflow Index.
+  if (rank > c.remaining / 8)
+    throw SchemaError(name, "tensor rank exceeds its payload");
   std::vector<Index> shape(rank);
+  Index numel = rank == 0 ? 0 : 1;
   for (std::uint32_t d = 0; d < rank; ++d) {
     const std::uint64_t dim = c.u64(name + ".dims");
     if (dim > static_cast<std::uint64_t>(std::numeric_limits<Index>::max()))
       throw SchemaError(name, "tensor dimension overflows Index");
     shape[d] = static_cast<Index>(dim);
+    if (__builtin_mul_overflow(numel, shape[d], &numel))
+      throw SchemaError(name, "tensor element count overflows Index");
   }
-  const Index numel = nn::Tensor::numel(shape);
-  if (c.remaining != static_cast<std::size_t>(numel) * 8)
+  if (c.remaining % 8 != 0 ||
+      c.remaining / 8 != static_cast<std::uint64_t>(numel))
     throw SchemaError(name, "tensor payload size does not match its shape");
   nn::Tensor t = nn::Tensor::uninit(std::move(shape));
   for (std::size_t i = 0; i < t.data.size(); ++i)

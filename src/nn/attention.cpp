@@ -10,10 +10,9 @@
 
 namespace nnqs::nn {
 
-CausalSelfAttention::CausalSelfAttention(Index dModel, Index nHeads, Index seqLen,
-                                         Rng& rng, std::string name)
+CausalSelfAttention::CausalSelfAttention(Index dModel, Index nHeads, Rng& rng,
+                                         std::string name)
     : name_(name), d_(dModel), heads_(nHeads), headDim_(dModel / nHeads),
-      seqLen_(seqLen), window_(seqLen),
       qkv_(dModel, 3 * dModel, rng, name + ".qkv"),
       proj_(dModel, dModel, rng, name + ".proj") {
   if (dModel % nHeads != 0)
@@ -21,10 +20,8 @@ CausalSelfAttention::CausalSelfAttention(Index dModel, Index nHeads, Index seqLe
 }
 
 namespace {
-/// Causal-softmax attention forward shared by the Tensor and tape paths: one
-/// arithmetic sequence (scores -> softmaxNormalize -> unnormalized context *
-/// rinv -> normalized weights), so the two gradient paths see bit-identical
-/// activations.  attn [B,H,L,L] is fully written (masked entries zeroed);
+/// Causal-softmax attention forward: scores -> softmaxNormalize ->
+/// unnormalized context * rinv -> normalized weights.  attn [B,H,L,L] is fully written (masked entries zeroed);
 /// ctx [B*L, D] must arrive zeroed (the context accumulates).
 void attnForwardCore(const Real* qkv, Real* attn, Real* ctx, Index batch,
                      Index L, Index d, Index heads, Index headDim,
@@ -67,7 +64,7 @@ void attnForwardCore(const Real* qkv, Real* attn, Real* ctx, Index batch,
     }
 }
 
-/// Attention backward core shared by the Tensor and tape paths.  dQkv must
+/// Attention backward core.  dQkv must
 /// arrive zeroed; dA is per-thread scratch [nThreads * L] (fully rewritten
 /// per query row before use).  Writes of each (b,h) pair touch disjoint
 /// head-sliced columns, so the parallel accumulation is race-free and the
@@ -121,46 +118,17 @@ void attnBackwardCore(const Real* qkv, const Real* attn, const Real* dCtx,
 }
 }  // namespace
 
-Tensor CausalSelfAttention::forward(const Tensor& x, GradMode mode) {
-  const Index L = window_;
-  const Index rows = x.numel() / d_;
-  const Index batch = rows / L;
-  const Real scale = 1.0 / std::sqrt(static_cast<Real>(headDim_));
-
-  Tensor qkv = qkv_.forward(x, mode);  // [B*L, 3D]: q | k | v per row
-  Tensor attn({batch, heads_, L, L});
-  Tensor ctx({rows, d_});
-
-  attnForwardCore(qkv.data.data(), attn.data.data(), ctx.data.data(), batch,
-                  L, d_, heads_, headDim_, scale);
-
-  if (mode == GradMode::kRecordTape) {
-    cachedQkv_ = qkv;
-    cachedAttn_ = attn;
-    cachedBatch_ = batch;
-    cachedWindow_ = L;
-    hasCache_ = true;
-  } else if (hasCache_) {
-    cachedQkv_ = Tensor{};
-    cachedAttn_ = Tensor{};
-    cachedBatch_ = 0;
-    cachedWindow_ = 0;
-    hasCache_ = false;
-    staleReason_ = stale::kInferenceForward;
-  }
-  return proj_.forward(ctx, mode);
-}
-
 const Real* CausalSelfAttention::forwardTape(Tape& tape, TapeFrame& f,
-                                             const Real* x, Index rows) const {
-  const Index L = window_;
+                                             const Real* x, Index rows,
+                                             Index window) const {
+  const Index L = window;
   const Index batch = rows / L;
   const Real scale = 1.0 / std::sqrt(static_cast<Real>(headDim_));
 
   const Real* qkv = qkv_.forwardTape(tape, f.qkv, x, rows);
   Real* attn = tape.alloc(batch * heads_ * L * L);
   Real* ctx = tape.alloc(rows * d_);
-  // The context accumulates (the Tensor path's zero-filled constructor).
+  // The context accumulates, so it starts zeroed.
   std::memset(ctx, 0, static_cast<std::size_t>(rows * d_) * sizeof(Real));
   attnForwardCore(qkv, attn, ctx, batch, L, d_, heads_, headDim_, scale);
   f.qkvOut = qkv;
@@ -197,8 +165,8 @@ void CausalSelfAttention::decodeStep(const Real* x, Index batch,
     }
   }
 
-  // The attention kernel accumulates into ctx, so the carved span needs the
-  // explicit zero the Tensor constructor used to provide.
+  // The attention kernel accumulates into ctx, so the carved span starts
+  // zeroed.
   Real* ctx = state.ws.alloc(batch * d_);
   std::memset(ctx, 0, static_cast<std::size_t>(batch * d_) * sizeof(Real));
   kernels::DecodeAttnArgs args;
@@ -220,31 +188,9 @@ void CausalSelfAttention::decodeStep(const Real* x, Index batch,
   proj_.forwardInto(ctx, batch, out, state.kernel);
 }
 
-Tensor CausalSelfAttention::backward(const Tensor& dy) {
-  if (!hasCache_) throw StaleTapeError(name_, staleReason_);
-  const Index batch = cachedBatch_;
-  const Index Lc = cachedWindow_;
-  const Index rows = batch * Lc;
-  const Real scale = 1.0 / std::sqrt(static_cast<Real>(headDim_));
-
-  Tensor dCtx = proj_.backward(dy);  // [B*L, D]
-  Tensor dQkv({rows, 3 * d_});
-#ifdef _OPENMP
-  const Index nThreads = omp_get_max_threads();
-#else
-  const Index nThreads = 1;
-#endif
-  std::vector<Real> dA(static_cast<std::size_t>(nThreads * Lc));
-  attnBackwardCore(cachedQkv_.data.data(), cachedAttn_.data.data(),
-                   dCtx.data.data(), dQkv.data.data(), dA.data(), batch, Lc,
-                   d_, heads_, headDim_, scale);
-  return qkv_.backward(dQkv);
-}
-
 Real* CausalSelfAttention::backwardTape(Tape& tape, const TapeFrame& f,
                                         const Real* dy) {
-  if (f.qkvOut == nullptr && f.batch > 0)
-    throw StaleTapeError(name_, "backwardTape frame was never recorded by forwardTape");
+  if (f.batch < 0) throw StaleTapeError(name_, stale::kUnrecordedFrame);
   const Index batch = f.batch;
   const Index Lc = f.window;
   const Index rows = batch * Lc;

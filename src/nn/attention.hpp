@@ -7,23 +7,20 @@ namespace nnqs::nn {
 
 /// Masked (causal) multi-head self-attention, the core of the paper's
 /// amplitude transformer (Fig. 2).  Input/output [B*L, D]; B inferred from
-/// the row count and the fixed sequence length.
-class CausalSelfAttention : public Module {
+/// the row count and the window L passed to forwardTape.
+class CausalSelfAttention {
  public:
-  CausalSelfAttention(Index dModel, Index nHeads, Index seqLen, Rng& rng,
-                      std::string name);
+  CausalSelfAttention(Index dModel, Index nHeads, Rng& rng, std::string name);
 
-  Tensor forward(const Tensor& x, GradMode mode) override;
-  Tensor backward(const Tensor& dy) override;
-  void collectParameters(std::vector<Parameter*>& out) override;
+  void collectParameters(std::vector<Parameter*>& out);
 
   /// Incremental decode: x = [B, D] is one new token per row at position
   /// `state.len` (0-based).  Appends this token's K/V to layer `layer`'s
   /// slice of the state's KV arena and attends its query against positions
   /// 0..pos, i.e. the single new row of the causal attention matrix — run on
   /// the kernel backend selected by `state.kernel` (src/nn/kernels/).
-  /// Arithmetic mirrors forward() row `pos` exactly under every backend, so
-  /// full-forward and decode paths agree bit for bit.
+  /// Arithmetic mirrors forwardTape() row `pos` exactly under every backend,
+  /// so full-forward and decode paths agree bit for bit.
   ///
   /// Zero-allocation contract: `out` [B, D] is caller storage and the qkv /
   /// context scratch is carved from `state.ws`, so a warm step touches no
@@ -31,39 +28,29 @@ class CausalSelfAttention : public Module {
   void decodeStep(const Real* x, Index batch, DecodeState& state, Index layer,
                   Real* out) const;
 
-  /// Sequence length of the next forward call (sampling uses growing
-  /// prefix windows; the causal mask keeps shorter windows consistent).
-  void setWindow(Index w) { window_ = w; }
-
-  /// Tile-recompute record: qkv activations, normalized attention weights
-  /// and the projection input all live on the caller's tape; dQkv / per-
-  /// thread dA scratch are carved from the same tape in backwardTape, so a
-  /// warm tile performs zero heap allocations.
+  /// Tape record over rows = batch * window (each sample a causal window of
+  /// length `window`; sampling uses growing prefix windows, and the causal
+  /// mask keeps shorter windows consistent): qkv activations, normalized
+  /// attention weights and the projection input all live on the caller's
+  /// tape; dQkv / per-thread dA scratch are carved from the same tape in
+  /// backwardTape, so a warm tile performs zero heap allocations.
   struct TapeFrame {
     Linear::TapeFrame qkv;
     Linear::TapeFrame proj;
     const Real* qkvOut = nullptr;  ///< [B*L, 3D]: q | k | v per row
     const Real* attn = nullptr;    ///< [B, heads, L, L] row-softmaxed weights
-    Index batch = 0;
+    Index batch = -1;              ///< -1 until forwardTape records
     Index window = 0;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows) const;
+  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
+                          Index window) const;
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy);
 
  private:
   std::string name_;
-  Index d_, heads_, headDim_, seqLen_;
-  Index window_;
+  Index d_, heads_, headDim_;
   Linear qkv_;   ///< D -> 3D
   Linear proj_;  ///< D -> D
-  // Caches for backward (invalidated by a kInference Tensor forward, like
-  // the row-wise modules).
-  Tensor cachedQkv_;   ///< [B*L, 3D]
-  Tensor cachedAttn_;  ///< [B, heads, L, L] row-softmaxed weights
-  Index cachedBatch_ = 0;
-  Index cachedWindow_ = 0;
-  bool hasCache_ = false;
-  const char* staleReason_ = stale::kNeverRecorded;
 };
 
 }  // namespace nnqs::nn

@@ -7,34 +7,27 @@
 
 namespace nnqs::nn {
 
-/// What a forward pass records for the subsequent backward.
+/// What a QiankunNet::evaluate records for the subsequent backward().
 ///
-///  - kInference: compute outputs only.  On the Tensor-level forward() this
-///    invalidates the module-resident activations of an earlier recording
-///    forward: a backward() after it throws StaleTapeError instead of silently
-///    computing gradients against stale inputs.
-///  - kRecordTape: additionally store whatever the module needs so that a
-///    single subsequent backward() can return dx and accumulate parameter
-///    gradients.  The Tensor-level forward() records into module-resident
-///    caches (the monolithic gradient path); the raw forwardTape() entry
-///    points record into a caller-owned Tape instead (the tiled-recompute
-///    gradient path), so per-tile activations are released wholesale by
-///    Tape::reset() rather than living until the next forward.
+///  - kInference: compute outputs only.  Inference never writes the network
+///    or its gradient tape, so it leaves a pending recording intact.
+///  - kRecordTape: additionally record the activations of the whole batch on
+///    the net's gradient Tape, consumed by exactly one backward().
 ///
-/// The Tensor-level forward()/backward() pair is the only code that touches
-/// module-resident caches.  The raw inference paths (forwardInto, decodeStep,
-/// evaluateDecode) are const and take no GradMode: they never write the
-/// network, so they neither invalidate a recording nor race with each other.
+/// Activations live only on a caller-owned Tape: each module's forwardTape()
+/// records into it and its backwardTape() consumes the record.  No module
+/// holds a backward cache, and every forward entry point is const.
 enum class GradMode {
   kInference,
   kRecordTape,
 };
 
-/// backward() activation guard.  Thrown when a Tensor-level backward runs
-/// without a live recording forward; the message names the module instance
-/// and the event that invalidated (or never created) its activation record,
-/// in the typed-error style of io/checkpoint.hpp.  Derives from
-/// std::logic_error so pre-existing catch sites keep working.
+/// Thrown when a backward runs without a live recording: a module's
+/// backwardTape() on a frame no forwardTape() filled, or a
+/// QiankunNet::backward() with no pending recording evaluate.  The message
+/// names the module instance and the event that invalidated (or never
+/// created) the record, in the typed-error style of io/checkpoint.hpp.
+/// Derives from std::logic_error so pre-existing catch sites keep working.
 class StaleTapeError : public std::logic_error {
  public:
   StaleTapeError(const std::string& module, const std::string& invalidatedBy)
@@ -42,14 +35,12 @@ class StaleTapeError : public std::logic_error {
                          invalidatedBy + ")") {}
 };
 
-/// Reasons a StaleTapeError names.  Only Tensor-level forwards and the
-/// QiankunNet-level guards (evaluate/phases/evaluateGrad/prepareConcurrent)
-/// invalidate; raw inference never does.
+/// Reasons a StaleTapeError names.
 namespace stale {
 inline constexpr const char* kNeverRecorded =
     "no GradMode::kRecordTape forward has run";
-inline constexpr const char* kInferenceForward =
-    "invalidated by a GradMode::kInference forward";
+inline constexpr const char* kUnrecordedFrame =
+    "backwardTape frame was never recorded by forwardTape";
 inline constexpr const char* kTapeForward =
     "invalidated by a tape-recording forward onto a caller-owned Tape "
     "(backward for it goes through backwardTape)";
@@ -57,8 +48,8 @@ inline constexpr const char* kExplicit =
     "invalidated by an explicit prepareConcurrent()";
 }  // namespace stale
 
-/// Caller-owned activation store of the tiled-recompute gradient path: one
-/// bump-carve arena (nn::Workspace) holding a single tile's forward
+/// Caller-owned activation store, the one place activations are recorded:
+/// one bump-carve arena (nn::Workspace) holding a single tile's forward
 /// activations plus its backward scratch.  The tile loop resets the tape
 /// between tiles, so peak training activation memory is the high-water mark
 /// of ONE tile — O(tile * L * d) — independent of the batch size, and a warm
@@ -69,7 +60,9 @@ inline constexpr const char* kExplicit =
 /// stores the span pointers in a caller-held per-module frame struct;
 /// backwardTape() consumes the frame.  Spans stay valid until the next
 /// reset() — in particular a module may record its *input* span zero-copy,
-/// because that span is the previous module's tape-carved output.
+/// because that span is the previous module's tape-carved output.  A
+/// default-constructed frame is unrecorded (its row count is -1), and
+/// backwardTape() on it throws StaleTapeError (stale::kUnrecordedFrame).
 class Tape {
  public:
   /// Drop every recorded span (start the next tile's carve cycle).

@@ -38,8 +38,8 @@ struct DefaultInitAllocator : std::allocator<T> {
 using RealBuffer = std::vector<Real, DefaultInitAllocator<Real>>;
 
 /// Minimal dense tensor: row-major data + shape.  The NN engine uses explicit
-/// per-module backprop (forward caches what backward needs), so no autograd
-/// graph machinery is required.
+/// per-module backprop (forwardTape records on a Tape what backwardTape
+/// needs), so no autograd graph machinery is required.
 struct Tensor {
   std::vector<Index> shape;
   RealBuffer data;

@@ -7,31 +7,20 @@ namespace nnqs::nn {
 
 // ---------------------------------------------------------- DecoderBlock ---
 
-DecoderBlock::DecoderBlock(Index dModel, Index nHeads, Index ffDim, Index seqLen,
-                           Rng& rng, std::string name)
+DecoderBlock::DecoderBlock(Index dModel, Index nHeads, Index ffDim, Rng& rng,
+                           std::string name)
     : d_(dModel), ffDim_(ffDim),
       ln1_(dModel, name + ".ln1"), ln2_(dModel, name + ".ln2"),
-      attn_(dModel, nHeads, seqLen, rng, name + ".attn"),
+      attn_(dModel, nHeads, rng, name + ".attn"),
       ff1_(dModel, ffDim, rng, name + ".ff1"),
       ff2_(ffDim, dModel, rng, name + ".ff2"),
       gelu_(name + ".gelu") {}
 
-Tensor DecoderBlock::forward(const Tensor& x, GradMode mode) {
-  Tensor h = attn_.forward(ln1_.forward(x, mode), mode);
-  for (std::size_t i = 0; i < h.data.size(); ++i) h.data[i] += x.data[i];
-  Tensor f = ff2_.forward(gelu_.forward(ff1_.forward(ln2_.forward(h, mode), mode), mode), mode);
-  for (std::size_t i = 0; i < f.data.size(); ++i) f.data[i] += h.data[i];
-  return f;
-}
-
 const Real* DecoderBlock::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
-                                      Index rows) const {
+                                      Index rows, Index window) const {
   const Index n = rows * d_;
-  // Same arithmetic sequence as the Tensor forward above — unfused LNs and
-  // explicit residual adds — so the recomputed tile is bit-identical to the
-  // monolithic activations (NOT the fused decodeStep kernels).
   const Real* ln1out = ln1_.forwardTape(tape, f.ln1, x, rows);
-  const Real* attnOut = attn_.forwardTape(tape, f.attn, ln1out, rows);
+  const Real* attnOut = attn_.forwardTape(tape, f.attn, ln1out, rows, window);
   Real* h = tape.alloc(n);
   for (Index i = 0; i < n; ++i) h[i] = attnOut[i] + x[i];
   const Real* ln2out = ln2_.forwardTape(tape, f.ln2, h, rows);
@@ -40,8 +29,6 @@ const Real* DecoderBlock::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
   const Real* f2 = ff2_.forwardTape(tape, f.ff2, g, rows);
   Real* out = tape.alloc(n);
   for (Index i = 0; i < n; ++i) out[i] = f2[i] + h[i];
-  f.x = x;
-  f.h = h;
   f.rows = rows;
   return out;
 }
@@ -103,19 +90,10 @@ void DecoderBlock::decodeStep(const Real* a, const Real* r, DecodeState& state,
   *rOut = h2;
 }
 
-Tensor DecoderBlock::backward(const Tensor& dy) {
-  Tensor dh = ln2_.backward(ff1_.backward(gelu_.backward(ff2_.backward(dy))));
-  for (std::size_t i = 0; i < dh.data.size(); ++i) dh.data[i] += dy.data[i];
-  Tensor dx = ln1_.backward(attn_.backward(dh));
-  for (std::size_t i = 0; i < dx.data.size(); ++i) dx.data[i] += dh.data[i];
-  return dx;
-}
-
 Real* DecoderBlock::backwardTape(Tape& tape, const TapeFrame& f,
                                  const Real* dy) {
   const Index n = f.rows * d_;
-  // Mirror of backward() above, frame for cache: dh = ln2'(ff1'(gelu'(ff2'(dy))))
-  // + dy; dx = ln1'(attn'(dh)) + dh — identical adds in identical order.
+  // dh = ln2'(ff1'(gelu'(ff2'(dy)))) + dy; dx = ln1'(attn'(dh)) + dh.
   Real* t = ff2_.backwardTape(tape, f.ff2, dy);
   t = gelu_.backwardTape(tape, f.gelu, t);
   t = ff1_.backwardTape(tape, f.ff1, t);
@@ -145,30 +123,18 @@ TransformerAR::TransformerAR(Index seqLen, Index dModel, Index nHeads,
       head_(dModel, kOutcomes, rng, "amp.head") {
   for (Index l = 0; l < nLayers; ++l)
     blocks_.push_back(std::make_unique<DecoderBlock>(
-        dModel, nHeads, 4 * dModel, seqLen, rng, "amp.dec" + std::to_string(l)));
-}
-
-Tensor TransformerAR::forward(const std::vector<int>& tokens, Index window,
-                              GradMode mode) {
-  cachedWindow_ = window;
-  Tensor x = embed_.forward(tokens, window, mode);
-  for (auto& block : blocks_) {
-    block->setWindow(window);
-    x = block->forward(x, mode);
-  }
-  x = lnFinal_.forward(x, mode);
-  return head_.forward(x, mode);
+        dModel, nHeads, 4 * dModel, rng, "amp.dec" + std::to_string(l)));
 }
 
 const Real* TransformerAR::forwardTape(Tape& tape, TapeFrame& f,
                                        const int* tokens, Index rows,
-                                       Index window) {
+                                       Index window) const {
+  if (window < 1 || window > seqLen_ || rows % window != 0)
+    throw std::invalid_argument("TransformerAR::forwardTape: bad window");
   f.blocks.resize(blocks_.size());  // no-op reuse on warm tiles
   const Real* x = embed_.forwardTape(tape, tokens, rows, window);
-  for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    blocks_[l]->setWindow(window);
-    x = blocks_[l]->forwardTape(tape, f.blocks[l], x, rows);
-  }
+  for (std::size_t l = 0; l < blocks_.size(); ++l)
+    x = blocks_[l]->forwardTape(tape, f.blocks[l], x, rows, window);
   x = lnFinal_.forwardTape(tape, f.lnf, x, rows);
   const Real* logits = head_.forwardTape(tape, f.head, x, rows);
   f.tokens = tokens;
@@ -236,13 +202,6 @@ const Tensor& TransformerAR::decodeStep(DecodeState& state,
   return state.logits;  // [B, 4]
 }
 
-void TransformerAR::backward(const Tensor& dLogits) {
-  Tensor dx = lnFinal_.backward(head_.backward(dLogits));
-  for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it)
-    dx = (*it)->backward(dx);
-  embed_.backward(dx);
-}
-
 void TransformerAR::collectParameters(std::vector<Parameter*>& out) {
   embed_.collectParameters(out);
   for (auto& b : blocks_) b->collectParameters(out);
@@ -255,96 +214,66 @@ void TransformerAR::collectParameters(std::vector<Parameter*>& out) {
 PhaseMlp::PhaseMlp(Index nQubits, Index hidden, Index nHidden, Rng& rng) {
   Index in = nQubits;
   for (Index l = 0; l < nHidden; ++l) {
-    layers_.push_back(std::make_unique<Linear>(in, hidden, rng,
-                                               "phase.l" + std::to_string(l)));
-    layers_.push_back(std::make_unique<TanhAct>("phase.tanh" + std::to_string(l)));
+    linear_.emplace_back(in, hidden, rng, "phase.l" + std::to_string(l));
+    tanh_.emplace_back("phase.tanh" + std::to_string(l));
     in = hidden;
   }
-  layers_.push_back(std::make_unique<Linear>(in, 1, rng, "phase.out"));
-}
-
-Tensor PhaseMlp::forward(const Tensor& x, GradMode mode) {
-  Tensor h = x;
-  for (auto& l : layers_) h = l->forward(h, mode);
-  return h;  // [B, 1]
+  linear_.emplace_back(in, 1, rng, "phase.out");
 }
 
 void PhaseMlp::forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
                            kernels::KernelPolicy policy) const {
   // The caller owns the carve cycle (x itself may be carved from `ws`, so a
   // reset here would let the first layer's destination overlap its input).
-  // Layer list is [Linear, Tanh]* + Linear (see the constructor): Linear
-  // layers carve a fresh destination; tanh layers transform it in place (the
-  // same per-element std::tanh as TanhAct::forward, so the bits match).
+  // Each Linear carves a fresh destination; tanh transforms it in place (the
+  // same per-element std::tanh as TanhAct::forwardTape, so the bits match).
   const Real* cur = x;
-  Real* curMut = nullptr;
-  Index width = 0;
-  for (const auto& l : layers_) {
-    if (const auto* lin = dynamic_cast<const Linear*>(l.get())) {
-      width = lin->w.value.shape[0];
-      Real* y = ws.alloc(rows * width);
-      lin->forwardInto(cur, rows, y, policy);
-      cur = curMut = y;
-    } else if (dynamic_cast<const TanhAct*>(l.get()) != nullptr) {
-      for (Index i = 0; i < rows * width; ++i) curMut[i] = std::tanh(curMut[i]);
-    } else {
-      throw std::logic_error("PhaseMlp::forwardInto: unsupported layer type");
-    }
+  for (std::size_t l = 0; l < linear_.size(); ++l) {
+    const Index width = linear_[l].w.value.shape[0];
+    Real* y = l + 1 < linear_.size() ? ws.alloc(rows * width) : out;
+    linear_[l].forwardInto(cur, rows, y, policy);
+    if (l < tanh_.size())
+      for (Index i = 0; i < rows * width; ++i) y[i] = std::tanh(y[i]);
+    cur = y;
   }
-  if (width != 1)
-    throw std::logic_error("PhaseMlp::forwardInto: final layer width != 1");
-  for (Index r = 0; r < rows; ++r) out[r] = cur[r];
+}
+
+Index PhaseMlp::workspaceReals(Index rows) const {
+  // One span per hidden layer (the output layer writes `out` directly), each
+  // rounded up to the Workspace's 8-Real alignment.
+  Index n = 0;
+  for (std::size_t l = 0; l + 1 < linear_.size(); ++l)
+    n += (rows * linear_[l].w.value.shape[0] + 7) / 8 * 8;
+  return n;
 }
 
 const Real* PhaseMlp::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
                                   Index rows) const {
-  std::size_t nLin = 0, nTanh = 0;
-  for (const auto& l : layers_)
-    (dynamic_cast<const Linear*>(l.get()) != nullptr) ? ++nLin : ++nTanh;
-  f.linear.resize(nLin);  // no-op reuse on warm tiles
-  f.tanh.resize(nTanh);
+  f.linear.resize(linear_.size());  // no-op reuse on warm tiles
+  f.tanh.resize(tanh_.size());
   const Real* cur = x;
-  Index width = 0;
-  std::size_t li = 0, ti = 0;
-  for (const auto& l : layers_) {
-    if (const auto* lin = dynamic_cast<const Linear*>(l.get())) {
-      cur = lin->forwardTape(tape, f.linear[li++], cur, rows);
-      width = lin->w.value.shape[0];
-    } else if (const auto* th = dynamic_cast<const TanhAct*>(l.get())) {
-      cur = th->forwardTape(tape, f.tanh[ti++], cur, rows * width);
-    } else {
-      throw std::logic_error("PhaseMlp::forwardTape: unsupported layer type");
-    }
+  for (std::size_t l = 0; l < linear_.size(); ++l) {
+    cur = linear_[l].forwardTape(tape, f.linear[l], cur, rows);
+    if (l < tanh_.size())
+      cur = tanh_[l].forwardTape(tape, f.tanh[l], cur,
+                                 rows * linear_[l].w.value.shape[0]);
   }
-  if (width != 1)
-    throw std::logic_error("PhaseMlp::forwardTape: final layer width != 1");
-  f.rows = rows;
   return cur;  // [rows]
 }
 
 void PhaseMlp::backwardTape(Tape& tape, const TapeFrame& f,
                             const Real* dPhase) {
+  if (f.linear.size() != linear_.size())
+    throw StaleTapeError("phase", stale::kUnrecordedFrame);
   const Real* d = dPhase;
-  std::size_t li = f.linear.size(), ti = f.tanh.size();
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    if (auto* lin = dynamic_cast<Linear*>(it->get())) {
-      d = lin->backwardTape(tape, f.linear[--li], d);
-    } else if (auto* th = dynamic_cast<TanhAct*>(it->get())) {
-      d = th->backwardTape(tape, f.tanh[--ti], d);
-    } else {
-      throw std::logic_error("PhaseMlp::backwardTape: unsupported layer type");
-    }
+  for (std::size_t l = linear_.size(); l-- > 0;) {
+    if (l < tanh_.size()) d = tanh_[l].backwardTape(tape, f.tanh[l], d);
+    d = linear_[l].backwardTape(tape, f.linear[l], d);
   }
 }
 
-void PhaseMlp::backward(const Tensor& dPhase) {
-  Tensor d = dPhase;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    d = (*it)->backward(d);
-}
-
 void PhaseMlp::collectParameters(std::vector<Parameter*>& out) {
-  for (auto& l : layers_) l->collectParameters(out);
+  for (auto& l : linear_) l.collectParameters(out);
 }
 
 }  // namespace nnqs::nn

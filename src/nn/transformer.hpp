@@ -13,14 +13,11 @@
 namespace nnqs::nn {
 
 /// Pre-LN decoder block: x += MHSA(LN(x)); x += FF(LN(x)).
-class DecoderBlock : public Module {
+class DecoderBlock {
  public:
-  DecoderBlock(Index dModel, Index nHeads, Index ffDim, Index seqLen, Rng& rng,
+  DecoderBlock(Index dModel, Index nHeads, Index ffDim, Rng& rng,
                std::string name);
-  Tensor forward(const Tensor& x, GradMode mode) override;
-  Tensor backward(const Tensor& dy) override;
-  void collectParameters(std::vector<Parameter*>& out) override;
-  void setWindow(Index w) { attn_.setWindow(w); }
+  void collectParameters(std::vector<Parameter*>& out);
 
   /// Incremental decode of one token per row at position `state.len`,
   /// reading/extending layer `layer`'s slice of the KV arena.  The residual
@@ -33,21 +30,18 @@ class DecoderBlock : public Module {
   void decodeStep(const Real* a, const Real* r, DecodeState& state, Index layer,
                   const Real** aOut, const Real** rOut) const;
 
-  /// Tile-recompute record of one block: submodule frames plus the two
-  /// residual streams (block input x, post-attention h), all tape-resident.
-  /// Arithmetic mirrors the Tensor forward exactly — separate (unfused)
-  /// LayerNorms and explicit residual adds, NOT the fused decode kernels —
-  /// so replayed tiles reproduce the monolithic activations bit for bit.
+  /// Tape record of one block over rows = batch * window, every activation
+  /// tape-resident.  Separate (unfused) LayerNorms and explicit residual
+  /// adds; the fused decode kernels reproduce the same bits.
   struct TapeFrame {
     LayerNorm::TapeFrame ln1, ln2;
     CausalSelfAttention::TapeFrame attn;
     Linear::TapeFrame ff1, ff2;
     Gelu::TapeFrame gelu;
-    const Real* x = nullptr;  ///< block input [rows, d]
-    const Real* h = nullptr;  ///< post-attention residual stream [rows, d]
     Index rows = 0;
   };
-  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows) const;
+  const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows,
+                          Index window) const;
   Real* backwardTape(Tape& tape, const TapeFrame& f, const Real* dy);
 
  private:
@@ -66,18 +60,14 @@ class TransformerAR {
   TransformerAR(Index seqLen, Index dModel, Index nHeads, Index nLayers,
                 Rng& rng);
 
-  /// tokens is a flattened [B, L'] window (L' <= seqLen); returns logits
-  /// [B, L', 4].
-  Tensor forward(const std::vector<int>& tokens, Index window, GradMode mode);
-  /// Backprop dLogits [B, L', 4]; accumulates parameter gradients.
-  void backward(const Tensor& dLogits);
   void collectParameters(std::vector<Parameter*>& out);
 
-  /// Tile-recompute record of the whole amplitude net for one tile of rows
-  /// (rows = tileBatch * window).  The frame is caller-owned and reused
-  /// across tiles (the blocks vector keeps its capacity), so a warm tile
-  /// records without heap allocations; every activation lives on `tape` and
-  /// is released wholesale by the caller's Tape::reset().
+  /// The full (stateless) forward, recorded on `tape`: `tokens` is a
+  /// flattened [B, L'] window (rows = B * L', L' = window <= seqLen).  The
+  /// frame is caller-owned and reused across tiles (the blocks vector keeps
+  /// its capacity), so a warm tile records without heap allocations; every
+  /// activation lives on `tape` and is released wholesale by the caller's
+  /// Tape::reset().
   struct TapeFrame {
     std::vector<DecoderBlock::TapeFrame> blocks;
     LayerNorm::TapeFrame lnf;
@@ -88,10 +78,10 @@ class TransformerAR {
   };
   /// Returns the tile's logits [rows, 4] (tape-resident).
   const Real* forwardTape(Tape& tape, TapeFrame& f, const int* tokens,
-                          Index rows, Index window);
+                          Index rows, Index window) const;
   /// Backward through the recorded tile; accumulates parameter gradients in
-  /// the same kernel fold order as backward(), so ascending-tile calls are
-  /// bit-identical to the monolithic backward.
+  /// ascending-row folds, so ascending-tile calls are bit-identical to one
+  /// call over the whole batch.
   void backwardTape(Tape& tape, const TapeFrame& f, const Real* dLogits);
 
   /// Start a stateful incremental decode over `batch` rows (KV caches sized
@@ -99,8 +89,8 @@ class TransformerAR {
   void beginDecode(DecodeState& state, Index batch,
                    kernels::KernelPolicy kernel = kernels::KernelPolicy::kAuto) const;
   /// Feed tokens[B] at position state.len and return the next-outcome logits
-  /// [B, 4].  Bit-identical to the last position of forward() over the same
-  /// prefixes.  Advances state.len.  The returned tensor is `state.logits`
+  /// [B, 4].  Bit-identical to the last position of forwardTape() over the
+  /// same prefixes.  Advances state.len.  The returned tensor is `state.logits`
   /// (state-owned, overwritten by the next step): with every activation
   /// carved from the state's workspace, a warm step performs zero heap
   /// allocations.  Read-only on the network: any number of threads may step
@@ -109,12 +99,12 @@ class TransformerAR {
                            const std::vector<int>& tokens) const;
 
   /// Teacher-forced batched evaluation on the incremental-decode engine:
-  /// `tokens` is the flattened [B, L'] input window exactly as forward()
+  /// `tokens` is the flattened [B, L'] input window exactly as forwardTape()
   /// takes it (BOS first), but instead of one O(B*L'^2)-activation full
   /// forward, each position is produced by decodeStep with the *known* next
   /// token per row.  After every step, `sink(row0, rows, s, logits)` receives
   /// the [rows, 4] logits of global rows [row0, row0+rows) at position s —
-  /// bit-identical to the corresponding positions of forward() (the decode
+  /// bit-identical to the corresponding positions of forwardTape() (the decode
   /// contract), consumed in ascending (tile, s) order so callers can stream
   /// per-row reductions without materializing a [B, L', 4] buffer.
   ///
@@ -218,7 +208,6 @@ class TransformerAR {
   std::vector<std::unique_ptr<DecoderBlock>> blocks_;
   LayerNorm lnFinal_;
   Linear head_;
-  Index cachedWindow_ = 0;
 };
 
 /// Phase sub-network: an MLP phi(x) on the +-1 encoded qubit string.
@@ -226,36 +215,36 @@ class PhaseMlp {
  public:
   PhaseMlp(Index nQubits, Index hidden, Index nHidden, Rng& rng);
 
-  /// x: [B, nQubits] of +-1; returns [B] phases.
-  Tensor forward(const Tensor& x, GradMode mode);
-
-  /// Raw-buffer inference: x [rows, nQubits] (caller storage, possibly carved
-  /// from `ws` itself), phases written to out[rows]; every intermediate
-  /// activation is carved from `ws` inside the *caller's* carve cycle (no
-  /// reset here).  Bit-identical to forward(GradMode::kInference) — the
-  /// Linear layers run the same kernels::gemm and the tanh layers the same
+  /// Raw-buffer inference: x [rows, nQubits] of +-1 (caller storage,
+  /// possibly carved from `ws` itself), phases written to out[rows]; every
+  /// intermediate activation is carved from `ws` inside the *caller's* carve
+  /// cycle (no reset here).  Bit-identical to forwardTape() — the Linear
+  /// layers run the same kernels::gemm and the tanh layers the same
   /// per-element std::tanh — but performs zero heap allocations once `ws` is
   /// warm and never writes module state: the serving layer runs this
   /// concurrently from many worker threads.
   void forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
                    kernels::KernelPolicy policy) const;
+  /// Reals forwardInto carves from `ws` for `rows` rows, alignment included.
+  [[nodiscard]] Index workspaceReals(Index rows) const;
 
-  /// Tile-recompute record: one Linear frame per Linear layer, one TanhAct
-  /// frame per activation, caller-owned and reused across tiles.  Returns
-  /// the tile's phases [rows] (tape-resident).
+  /// Tape record: one frame per Linear and per TanhAct layer, caller-owned
+  /// and reused across tiles.  Returns the tile's phases [rows]
+  /// (tape-resident).
   struct TapeFrame {
     std::vector<Linear::TapeFrame> linear;
     std::vector<TanhAct::TapeFrame> tanh;
-    Index rows = 0;
   };
   const Real* forwardTape(Tape& tape, TapeFrame& f, const Real* x, Index rows) const;
   void backwardTape(Tape& tape, const TapeFrame& f, const Real* dPhase);
 
-  void backward(const Tensor& dPhase);
   void collectParameters(std::vector<Parameter*>& out);
 
  private:
-  std::vector<std::unique_ptr<Module>> layers_;
+  // Layer l is linear_[l] then tanh_[l]; linear_.back() is the 1-wide
+  // output layer.
+  std::vector<Linear> linear_;
+  std::vector<TanhAct> tanh_;
 };
 
 }  // namespace nnqs::nn

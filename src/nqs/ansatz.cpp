@@ -48,24 +48,32 @@ std::array<bool, 4> QiankunNet::outcomeMask(int s, int nUp, int nDown) const {
 
 std::vector<Real> QiankunNet::conditionals(const std::vector<int>& prefixTokens,
                                            int batch, int s,
-                                           const std::vector<std::array<int, 2>>& counts) {
+                                           const std::vector<std::array<int, 2>>& counts) const {
   // Window of length s+1: [BOS, t_0 .. t_{s-1}] per prefix.
-  const int window = s + 1;
-  std::vector<int> tokens(static_cast<std::size_t>(batch) * window);
+  const Index window = s + 1;
+  std::vector<int> tokens(static_cast<std::size_t>(batch * window));
   for (int b = 0; b < batch; ++b) {
     tokens[static_cast<std::size_t>(b * window)] = nn::TransformerAR::kBos;
     for (int j = 0; j < s; ++j)
       tokens[static_cast<std::size_t>(b * window + 1 + j)] =
           prefixTokens[static_cast<std::size_t>(b * s + j)];
   }
-  nn::Tensor logits = amplitude_.forward(tokens, window, nn::GradMode::kInference);
-  // Take the last position of each prefix, mask, softmax.
+  // Full forward on a scratch tape (never gradTape_), one tile of prefixes
+  // at a time; take each prefix's last position, mask, softmax.
+  nn::Tape tape;
+  nn::TransformerAR::TapeFrame frame;
+  const Index tile = evalTileRows_ > 0 ? evalTileRows_ : nn::TransformerAR::kEvalTileRows;
   std::vector<Real> probs(static_cast<std::size_t>(batch) * 4);
-  for (int b = 0; b < batch; ++b) {
-    const Real* lg = logits.data.data() + (static_cast<Index>(b) * window + s) * 4;
-    const auto mask = outcomeMask(s, counts[static_cast<std::size_t>(b)][0],
-                                  counts[static_cast<std::size_t>(b)][1]);
-    maskedSoftmax4(lg, mask, probs.data() + static_cast<std::size_t>(b) * 4);
+  for (Index t0 = 0; t0 < batch; t0 += tile) {
+    const Index tb = std::min<Index>(tile, batch - t0);
+    tape.reset();
+    const Real* logits = amplitude_.forwardTape(
+        tape, frame, tokens.data() + t0 * window, tb * window, window);
+    for (Index b = 0; b < tb; ++b) {
+      const auto& c = counts[static_cast<std::size_t>(t0 + b)];
+      maskedSoftmax4(logits + (b * window + s) * 4, outcomeMask(s, c[0], c[1]),
+                     probs.data() + (t0 + b) * 4);
+    }
   }
   return probs;
 }
@@ -110,16 +118,21 @@ std::vector<Real> QiankunNet::stepConditionals(nn::DecodeState& state,
   return probs;
 }
 
-void QiankunNet::inputTokens(const std::vector<Bits128>& samples,
+void QiankunNet::inputTokens(const Bits128* samples, Index n,
                              std::vector<int>& out) const {
   const int L = nSteps();
-  out.resize(samples.size() * static_cast<std::size_t>(L));
-  for (std::size_t b = 0; b < samples.size(); ++b) {
-    out[b * static_cast<std::size_t>(L)] = nn::TransformerAR::kBos;
-    for (int s = 0; s + 1 < L; ++s)
-      out[b * static_cast<std::size_t>(L) + 1 + static_cast<std::size_t>(s)] =
-          tokenOf(samples[b], s);
+  out.resize(static_cast<std::size_t>(n * L));
+  for (Index b = 0; b < n; ++b) {
+    int* row = out.data() + b * L;
+    row[0] = nn::TransformerAR::kBos;
+    for (int s = 0; s + 1 < L; ++s) row[1 + s] = tokenOf(samples[b], s);
   }
+}
+
+void QiankunNet::encodeSpins(const Bits128* samples, Index n, Real* out) const {
+  for (Index b = 0; b < n; ++b)
+    for (int q = 0; q < cfg_.nQubits; ++q)
+      out[b * cfg_.nQubits + q] = samples[b].get(q) ? 1.0 : -1.0;
 }
 
 void QiankunNet::stepLogAmp(const Real* lg, Bits128 sample, int s, int& nUp,
@@ -136,36 +149,30 @@ void QiankunNet::stepLogAmp(const Real* lg, Bits128 sample, int s, int& nUp,
   nDown += (chosen >> 1) & 1;
 }
 
-void QiankunNet::amplitudesFullForward(const std::vector<Bits128>& samples,
-                                       std::vector<Real>& logAmp,
-                                       nn::GradMode mode) {
-  const bool record = mode == nn::GradMode::kRecordTape;
+const Real* QiankunNet::amplitudeTile(nn::Tape& tape,
+                                      nn::TransformerAR::TapeFrame& frame,
+                                      std::vector<int>& tokens,
+                                      const Bits128* samples, Index tb,
+                                      Real* logAmp) const {
   const int L = nSteps();
-  const Index batch = static_cast<Index>(samples.size());
-  inputTokens(samples, evalSlot_.tokens);
-  nn::Tensor logits = amplitude_.forward(evalSlot_.tokens, L, mode);
-
-  nn::Tensor probs;
-  if (record) probs = nn::Tensor({batch, L, 4});
-  logAmp.assign(samples.size(), 0.0);
-  for (Index b = 0; b < batch; ++b) {
+  const Index rows = tb * L;
+  inputTokens(samples, tb, tokens);
+  const Real* logits = amplitude_.forwardTape(tape, frame, tokens.data(), rows, L);
+  // Zero-filled: rows that leave the number-conserving support keep pr = 0
+  // past the exit (no gradient).
+  Real* probs = tape.alloc(rows * 4);
+  std::memset(probs, 0, static_cast<std::size_t>(rows * 4) * sizeof(Real));
+  for (Index b = 0; b < tb; ++b) {
     int nUp = 0, nDown = 0;
     Real la = 0;
-    Real prLocal[4];
     for (int s = 0; s < L; ++s) {
-      const Real* lg = logits.data.data() + (b * L + s) * 4;
-      Real* pr = record ? probs.data.data() + (b * L + s) * 4 : prLocal;
-      stepLogAmp(lg, samples[static_cast<std::size_t>(b)], s, nUp, nDown, la, pr);
+      stepLogAmp(logits + (b * L + s) * 4, samples[b], s, nUp, nDown, la,
+                 probs + (b * L + s) * 4);
       if (la <= kLogZero) break;
     }
-    logAmp[static_cast<std::size_t>(b)] = la;
+    if (logAmp != nullptr) logAmp[b] = la;
   }
-
-  if (record) {
-    cachedBatch_ = static_cast<long>(samples.size());
-    cachedSamples_ = samples;
-    cachedProbs_ = std::move(probs);
-  }
+  return probs;
 }
 
 void QiankunNet::decodeLogAmp(EvalSlot& slot,
@@ -175,12 +182,12 @@ void QiankunNet::decodeLogAmp(EvalSlot& slot,
                               Index tileRows) const {
   const int L = nSteps();
   const Index batch = static_cast<Index>(samples.size());
-  inputTokens(samples, slot.tokens);
+  inputTokens(samples.data(), batch, slot.tokens);
   logAmp.assign(samples.size(), 0.0);
   // Teacher-forced sweep: evaluateDecode hands back each row tile's [tb, 4]
   // logits position by position; the per-position log-conditionals are
-  // folded into logAmp on the fly — same maskedSoftmax4, same ascending-s
-  // accumulation order as the full-forward path, so the bits match — and no
+  // folded into logAmp on the fly — the same stepLogAmp, in the same
+  // ascending-s order, as the full-forward path, so the bits match — and no
   // [B, L, 4] buffer ever materializes.  slot.up/slot.down carry every row's
   // running electron counts between steps, indexed by *global* row so the
   // sink only touches its own tile's entries (tiles may run concurrently); a
@@ -215,52 +222,67 @@ void QiankunNet::setEvalPolicy(const exec::ExecutionPolicy& exec) {
 void QiankunNet::evaluate(const std::vector<Bits128>& samples,
                           std::vector<Real>& logAmp, std::vector<Real>& phase,
                           nn::GradMode mode) {
-  const bool record = mode == nn::GradMode::kRecordTape;
-  // Amplitude ln|Psi|.  A recording evaluate must run the full forward
-  // (backward() consumes the activations only it stores); inference follows
-  // the policy.
-  if (record || evalPolicy_ == DecodePolicy::kFullForward)
-    amplitudesFullForward(samples, logAmp, mode);
-  else
-    decodeLogAmp(evalSlot_, samples, logAmp, evalKernel_, evalTileRows_);
-
-  // Phase network on the +-1 encoded qubit string.
-  phaseForward(samples, phase, mode);
-
-  // An inference evaluate invalidates like the modules' inference forwards
-  // (modules.hpp invariant): backward() after it throws instead of mixing
-  // stale cachedProbs_/cachedSamples_ with the fresh activations.
-  if (!record) invalidateEvaluate(nn::stale::kInferenceForward);
-}
-
-void QiankunNet::phaseForward(const std::vector<Bits128>& samples,
-                              std::vector<Real>& phase, nn::GradMode mode) {
   const Index batch = static_cast<Index>(samples.size());
-  nn::Tensor xin({batch, cfg_.nQubits});
-  for (Index b = 0; b < batch; ++b)
-    for (int q = 0; q < cfg_.nQubits; ++q)
-      xin.data[static_cast<std::size_t>(b * cfg_.nQubits + q)] =
-          samples[static_cast<std::size_t>(b)].get(q) ? 1.0 : -1.0;
-  nn::Tensor ph = phase_.forward(xin, mode);
-  phase.resize(samples.size());
-  for (Index b = 0; b < batch; ++b)
-    phase[static_cast<std::size_t>(b)] = ph.data[static_cast<std::size_t>(b)];
+  if (mode == nn::GradMode::kRecordTape) {
+    // The whole batch as one recorded tile, consumed by backward().
+    gradTape_.reset();
+    logAmp.resize(samples.size());
+    phase.resize(samples.size());
+    recordedSamples_.assign(samples.begin(), samples.end());
+    recordedProbs_ = batch > 0 ? recordTile(recordedSamples_.data(), batch,
+                                            logAmp.data(), phase.data())
+                               : nullptr;
+    recordedBatch_ = static_cast<long>(batch);
+    return;
+  }
+  // Inference never touches gradTape_: the full-forward reference runs on a
+  // scratch tape, tile by tile.
+  if (evalPolicy_ == DecodePolicy::kFullForward) {
+    nn::Tape tape;
+    nn::TransformerAR::TapeFrame frame;
+    const Index tile = evalTileRows_ > 0 ? evalTileRows_ : nn::TransformerAR::kEvalTileRows;
+    logAmp.resize(samples.size());
+    for (Index t0 = 0; t0 < batch; t0 += tile) {
+      tape.reset();
+      amplitudeTile(tape, frame, evalSlot_.tokens, samples.data() + t0,
+                    std::min(tile, batch - t0), logAmp.data() + t0);
+    }
+  } else {
+    decodeLogAmp(evalSlot_, samples, logAmp, evalKernel_, evalTileRows_);
+  }
+  phaseInto(evalSlot_, samples, phase, evalKernel_, evalTileRows_);
 }
 
 void QiankunNet::phases(const std::vector<Bits128>& samples,
                         std::vector<Real>& phase) {
-  phaseForward(samples, phase, nn::GradMode::kInference);
-  // Same invalidation contract as an inference evaluate: the phase MLP's
-  // activation cache is gone, so a backward() before the next recording
-  // evaluate must throw rather than mix stale activations.
-  invalidateEvaluate(nn::stale::kInferenceForward);
+  phaseInto(evalSlot_, samples, phase, evalKernel_, evalTileRows_);
+}
+
+void QiankunNet::phaseInto(EvalSlot& slot, const std::vector<Bits128>& samples,
+                           std::vector<Real>& phase,
+                           nn::kernels::KernelPolicy kernel, Index tileRows) const {
+  // Tile by tile, so the workspace holds one tile's activations whatever
+  // the batch (rows are independent, so the bits do not depend on the
+  // tiling).  Sizing the workspace for a full tile up front makes it grow
+  // once per slot instead of at every new high-water batch.
+  const Index batch = static_cast<Index>(samples.size());
+  const Index tile = tileRows > 0 ? tileRows : nn::TransformerAR::kEvalTileRows;
+  phase.resize(samples.size());
+  for (Index t0 = 0; t0 < batch; t0 += tile) {
+    const Index tb = std::min(tile, batch - t0);
+    slot.phaseWs.reset();
+    slot.phaseWs.reserve(tile * cfg_.nQubits + 8 + phase_.workspaceReals(tile));
+    Real* xin = slot.phaseWs.alloc(tb * cfg_.nQubits);
+    encodeSpins(samples.data() + t0, tb, xin);
+    phase_.forwardInto(slot.phaseWs, xin, tb, phase.data() + t0, kernel);
+  }
 }
 
 void QiankunNet::invalidateEvaluate(const char* why) {
-  if (cachedBatch_ < 0) return;  // write-free when already clear
-  cachedBatch_ = -1;
-  cachedSamples_.clear();
-  cachedProbs_ = nn::Tensor{};
+  if (recordedBatch_ < 0) return;  // write-free when already clear
+  recordedBatch_ = -1;
+  recordedSamples_.clear();
+  recordedProbs_ = nullptr;
   staleReason_ = why;
 }
 
@@ -288,39 +310,49 @@ void QiankunNet::seedLogitRow(Real seed, Bits128 sample, int s, const Real* pr,
   }
 }
 
+const Real* QiankunNet::recordTile(const Bits128* samples, Index tb,
+                                   Real* logAmp, Real* phase) {
+  // Per-row activations are batch-composition-independent, so a tile's
+  // outputs equal the corresponding rows of any larger forward.
+  const Real* probs =
+      amplitudeTile(gradTape_, ampFrame_, gradTokens_, samples, tb, logAmp);
+  Real* xin = gradTape_.alloc(tb * cfg_.nQubits);
+  encodeSpins(samples, tb, xin);
+  const Real* ph = phase_.forwardTape(gradTape_, phaseFrame_, xin, tb);
+  if (phase != nullptr) std::copy(ph, ph + tb, phase);
+  return probs;
+}
+
+void QiankunNet::backwardTile(const Bits128* samples, Index tb,
+                              const Real* probs, const Real* dLogAmp,
+                              const Real* dPhase) {
+  const int L = nSteps();
+  const Index rows = tb * L;
+  Real* dLogits = gradTape_.alloc(rows * 4);
+  std::memset(dLogits, 0, static_cast<std::size_t>(rows * 4) * sizeof(Real));
+  for (Index b = 0; b < tb; ++b) {
+    if (dLogAmp[b] == 0.0) continue;
+    for (int s = 0; s < L; ++s)
+      seedLogitRow(dLogAmp[b], samples[b], s, probs + (b * L + s) * 4,
+                   dLogits + (b * L + s) * 4);
+  }
+  amplitude_.backwardTape(gradTape_, ampFrame_, dLogits);
+  // The phase MLP's parameters are disjoint from the amplitude net's, so
+  // the order of the two backwards leaves every parameter's fold intact.
+  phase_.backwardTape(gradTape_, phaseFrame_, dPhase);
+}
+
 void QiankunNet::backward(const std::vector<Real>& dLogAmp,
                           const std::vector<Real>& dPhase) {
-  if (cachedBatch_ < 0) throw nn::StaleTapeError("QiankunNet", staleReason_);
-  const auto recorded = static_cast<std::size_t>(cachedBatch_);
+  if (recordedBatch_ < 0) throw nn::StaleTapeError("QiankunNet", staleReason_);
+  const auto recorded = static_cast<std::size_t>(recordedBatch_);
   if (dLogAmp.size() != recorded || dPhase.size() != recorded)
     throw std::invalid_argument("QiankunNet::backward: seed/sample size mismatch");
-  if (cachedBatch_ == 0) {  // empty chunk: gradients stay zero
-    cachedBatch_ = -1;
-    staleReason_ = "already consumed by a previous backward";
-    return;
-  }
-  const int L = nSteps();
-  const Index batch = static_cast<Index>(cachedSamples_.size());
-
-  nn::Tensor dLogits({batch, L, 4});
-  for (Index b = 0; b < batch; ++b) {
-    const Real seed = dLogAmp[static_cast<std::size_t>(b)];
-    if (seed == 0.0) continue;
-    for (int s = 0; s < L; ++s)
-      seedLogitRow(seed, cachedSamples_[static_cast<std::size_t>(b)], s,
-                   cachedProbs_.data.data() + (b * L + s) * 4,
-                   dLogits.data.data() + (b * L + s) * 4);
-  }
-  amplitude_.backward(dLogits);
-
-  nn::Tensor dPh({batch, 1});
-  for (Index b = 0; b < batch; ++b) dPh.data[static_cast<std::size_t>(b)] = dPhase[static_cast<std::size_t>(b)];
-  phase_.backward(dPh);
-
-  cachedSamples_.clear();
-  cachedProbs_ = nn::Tensor{};
-  cachedBatch_ = -1;
-  staleReason_ = "already consumed by a previous backward";
+  // An empty recording leaves the gradients at zero.
+  if (recorded > 0)
+    backwardTile(recordedSamples_.data(), recordedBatch_, recordedProbs_,
+                 dLogAmp.data(), dPhase.data());
+  invalidateEvaluate("already consumed by a previous backward");
 }
 
 void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
@@ -329,11 +361,10 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
   if (dLogAmp.size() != samples.size() || dPhase.size() != samples.size())
     throw std::invalid_argument("QiankunNet::evaluateGrad: seed/sample size mismatch");
 
-  // This call records and consumes its own per-tile activations; any
-  // previously recorded evaluate is stale from here on.
+  // This call records and consumes its own per-tile activations on
+  // gradTape_; any previously recorded evaluate is stale from here on.
   invalidateEvaluate(nn::stale::kTapeForward);
 
-  const int L = nSteps();
   const Index batch = static_cast<Index>(samples.size());
   const Index tile =
       gradTileRows_ > 0 ? gradTileRows_ : nn::TransformerAR::kEvalTileRows;
@@ -341,68 +372,15 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
   // Tiles run SEQUENTIALLY in ascending order: every per-parameter
   // accumulation is a strictly sequential ascending-row fold that the tile
   // boundaries merely partition, so this ordering — not any tolerance — is
-  // what makes the result bit-identical to the monolithic backward.
-  // Parallelism stays inside the per-tile kernels.
+  // what makes the result bit-identical to a single tile over the batch.
+  // Parallelism stays inside the per-tile kernels.  The reset releases the
+  // previous tile, so only one tile's activations ever exist.
   for (Index t0 = 0; t0 < batch; t0 += tile) {
     const Index tb = std::min(tile, batch - t0);
-    const Index rows = tb * L;
     gradTape_.reset();
-
-    // Tile tokens, marshalled exactly as inputTokens() lays them out.
-    gradTokens_.resize(static_cast<std::size_t>(rows));
-    for (Index b = 0; b < tb; ++b) {
-      const auto row = static_cast<std::size_t>(b) * static_cast<std::size_t>(L);
-      gradTokens_[row] = nn::TransformerAR::kBos;
-      for (int s = 0; s + 1 < L; ++s)
-        gradTokens_[row + 1 + static_cast<std::size_t>(s)] =
-            tokenOf(samples[static_cast<std::size_t>(t0 + b)], s);
-    }
-
-    // Recompute this tile's teacher-forced forward onto the tape: only this
-    // tile's activations exist (the previous tile's were released by the
-    // reset above).  Per-row activations are batch-composition-independent,
-    // so the logits equal the monolithic forward's rows [t0, t0+tb).
-    const Real* logits =
-        amplitude_.forwardTape(gradTape_, ampFrame_, gradTokens_.data(), rows, L);
-
-    // Masked conditionals + loss seeds for the tile, both tape-carved.
-    // Zero-filled like their Tensor counterparts: rows that leave the
-    // number-conserving support keep pr = 0 past the exit (no gradient).
-    Real* probs = gradTape_.alloc(rows * 4);
-    std::memset(probs, 0, static_cast<std::size_t>(rows * 4) * sizeof(Real));
-    for (Index b = 0; b < tb; ++b) {
-      const auto row = static_cast<std::size_t>(t0 + b);
-      int nUp = 0, nDown = 0;
-      Real la = 0;
-      for (int s = 0; s < L; ++s) {
-        stepLogAmp(logits + (b * L + s) * 4, samples[row], s, nUp, nDown, la,
-                   probs + (b * L + s) * 4);
-        if (la <= kLogZero) break;
-      }
-    }
-    Real* dLogits = gradTape_.alloc(rows * 4);
-    std::memset(dLogits, 0, static_cast<std::size_t>(rows * 4) * sizeof(Real));
-    for (Index b = 0; b < tb; ++b) {
-      const Real seed = dLogAmp[static_cast<std::size_t>(t0 + b)];
-      if (seed == 0.0) continue;
-      for (int s = 0; s < L; ++s)
-        seedLogitRow(seed, samples[static_cast<std::size_t>(t0 + b)], s,
-                     probs + (b * L + s) * 4, dLogits + (b * L + s) * 4);
-    }
-    amplitude_.backwardTape(gradTape_, ampFrame_, dLogits);
-
-    // Phase MLP, tiled the same way (disjoint parameter set, so interleaving
-    // amplitude/phase tiles preserves each parameter's ascending-row fold).
-    Real* xin = gradTape_.alloc(tb * cfg_.nQubits);
-    for (Index b = 0; b < tb; ++b)
-      for (int q = 0; q < cfg_.nQubits; ++q)
-        xin[b * cfg_.nQubits + q] =
-            samples[static_cast<std::size_t>(t0 + b)].get(q) ? 1.0 : -1.0;
-    phase_.forwardTape(gradTape_, phaseFrame_, xin, tb);
-    Real* dPh = gradTape_.alloc(tb);
-    for (Index b = 0; b < tb; ++b)
-      dPh[b] = dPhase[static_cast<std::size_t>(t0 + b)];
-    phase_.backwardTape(gradTape_, phaseFrame_, dPh);
+    const Real* probs = recordTile(samples.data() + t0, tb, nullptr, nullptr);
+    backwardTile(samples.data() + t0, tb, probs, dLogAmp.data() + t0,
+                 dPhase.data() + t0);
   }
 }
 
@@ -414,20 +392,8 @@ void QiankunNet::evaluateInto(EvalSlot& slot, const std::vector<Bits128>& sample
                               std::vector<Real>& logAmp, std::vector<Real>& phase,
                               nn::kernels::KernelPolicy kernel,
                               Index tileRows) const {
-  // Amplitude: the same sweep evaluate() runs, on the caller's slot.
   decodeLogAmp(slot, samples, logAmp, kernel, tileRows);
-  const Index batch = static_cast<Index>(samples.size());
-
-  // Phase: the same +-1 encoding and MLP arithmetic as phaseForward, via the
-  // raw workspace path (forwardInto) so no shared tensors are built.
-  slot.phaseWs.reset();
-  Real* xin = slot.phaseWs.alloc(batch * cfg_.nQubits);
-  for (Index b = 0; b < batch; ++b)
-    for (int q = 0; q < cfg_.nQubits; ++q)
-      xin[b * cfg_.nQubits + q] =
-          samples[static_cast<std::size_t>(b)].get(q) ? 1.0 : -1.0;
-  phase.resize(samples.size());
-  phase_.forwardInto(slot.phaseWs, xin, batch, phase.data(), kernel);
+  phaseInto(slot, samples, phase, kernel, tileRows);
 }
 
 std::vector<nn::Parameter*> QiankunNet::parameters() {

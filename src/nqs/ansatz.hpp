@@ -63,11 +63,12 @@ class QiankunNet {
   /// the per-prefix (up, down) electron counts.  Output [B, 4].
   ///
   /// This is the stateless reference path: it re-runs a full transformer
-  /// forward over every prefix (O(s) token work per step).  The stateful
+  /// forward over every prefix (O(s) token work per step), on a scratch
+  /// tape in evalTileRows-prefix tiles.  The stateful
   /// beginDecode/stepConditionals pair below computes the same distributions
   /// bit for bit with O(1) token work per step via per-layer KV caches.
   std::vector<Real> conditionals(const std::vector<int>& prefixTokens, int batch,
-                                 int s, const std::vector<std::array<int, 2>>& counts);
+                                 int s, const std::vector<std::array<int, 2>>& counts) const;
 
   /// Start a stateful incremental decode over `batch` sampling-tree rows.
   /// `kernel` selects the decode-attention backend (src/nn/kernels/): the
@@ -103,30 +104,32 @@ class QiankunNet {
   /// (exec/policy.hpp): decode/kernel pick the inference engine (the
   /// KV-cached teacher-forced decode sweep by default, or the stateless
   /// full-forward reference — bit-identical, so they only move the wall
-  /// clock); evalTileRows bounds the decode KV arena and gradTileRows the
-  /// recompute-gradient tile (both 0 = engine default, n > 0 = n rows; a
-  /// negative value throws std::invalid_argument).
+  /// clock); evalTileRows bounds the decode KV arena (and the full-forward
+  /// reference's scratch tape and the phase-MLP workspace) and gradTileRows
+  /// the recompute-gradient tile
+  /// (both 0 = engine default, n > 0 = n rows; a negative value throws
+  /// std::invalid_argument).
   ///
   /// The inference policy applies to GradMode::kInference evaluations: a
-  /// recording evaluate must run the full forward regardless, because
-  /// backward() consumes the activations only that path stores.
+  /// recording evaluate always runs the full forward onto the gradient tape,
+  /// because backward() consumes the activations only that path records.
   void setEvalPolicy(const exec::ExecutionPolicy& exec);
   [[nodiscard]] DecodePolicy evalPolicy() const { return evalPolicy_; }
 
-  /// ln|Psi| and phase for a batch of samples.  GradMode::kRecordTape stores
-  /// activations for exactly one subsequent backward() (always full-forward);
-  /// GradMode::kInference runs the engine selected by setEvalPolicy() and
-  /// *invalidates* any recorded evaluate, so a stale backward() throws
-  /// (nn::StaleTapeError naming the invalidating event) instead of using old
-  /// activations.  Only these net-level calls (evaluate, phases,
-  /// evaluateGrad) invalidate; the const evaluateInto() never does.
+  /// ln|Psi| and phase for a batch of samples.  GradMode::kRecordTape records
+  /// the whole batch as one tile on the gradient tape for exactly one
+  /// subsequent backward(); GradMode::kInference runs the engine selected by
+  /// setEvalPolicy() and never touches the gradient tape, so a pending
+  /// recording stays valid across it.  A backward() with no pending
+  /// recording throws nn::StaleTapeError naming what consumed or
+  /// invalidated it (evaluateGrad, prepareConcurrent, a previous backward).
   void evaluate(const std::vector<Bits128>& samples, std::vector<Real>& logAmp,
                 std::vector<Real>& phase, nn::GradMode mode);
 
   /// Phase-only inference: phi(x) per sample via the phase MLP, skipping the
   /// amplitude network entirely.  The complement of the BAS sweep, which
   /// produces ln|Psi| as a sampling by-product (SampleSet::logAmp) but never
-  /// touches the phase MLP.  Invalidates like an inference evaluate.
+  /// touches the phase MLP.  Leaves a pending recording intact.
   void phases(const std::vector<Bits128>& samples, std::vector<Real>& phase);
 
   /// ln|Psi| sentinel for samples outside the number-conserving support
@@ -158,18 +161,18 @@ class QiankunNet {
   /// backprops the tile, and releases the tape, bounding peak training
   /// activation memory at O(tile * L * d) independent of the batch size.
   ///
-  /// Gradients are **bit-identical** to evaluate(kRecordTape) + backward():
-  /// forward activations are per-row batch-composition-independent, every
+  /// Gradients are **bit-identical** to evaluate(kRecordTape) + backward(),
+  /// the single-tile case of the same record/backward tile helpers: forward
+  /// activations are per-row batch-composition-independent, every
   /// per-parameter accumulation (GEMM accumulate=true ascending-k fold,
   /// LayerNorm ascending-row fold, embedding/bias ascending-row loops) is a
   /// strictly sequential ascending-row fold that tile boundaries merely
   /// partition, and tiles are swept sequentially in ascending order — the
   /// ordering IS the bit-identity mechanism, so tiles are never parallelized
-  /// (threading stays inside the per-tile kernels).  A tile at least as large
-  /// as the batch is a single tile; the monolithic cached-activation
-  /// reference is evaluate(kRecordTape) + backward(), called directly.  A
-  /// warm call (same shapes as the last) performs zero heap allocations: all
-  /// per-tile storage lives on the owned Tape arena.
+  /// (threading stays inside the per-tile kernels).  A tile at least as
+  /// large as the batch is a single tile.  A warm call (same shapes as the
+  /// last) performs zero heap allocations: all per-tile storage lives on
+  /// the owned Tape arena.
   ///
   /// Invalidates any recorded evaluate (this call records and consumes its
   /// own activations tile by tile).
@@ -177,9 +180,9 @@ class QiankunNet {
                     const std::vector<Real>& dLogAmp,
                     const std::vector<Real>& dPhase);
 
-  /// Arena accounting of the tiled gradient path's tape: highWater is the
-  /// peak Reals live in any one tile — the measured "peak training
-  /// activation memory" BM_BackwardTiled reports and the README quotes.
+  /// Arena accounting of the gradient tape: highWater is the peak Reals live
+  /// in any one tile — the measured "peak training activation memory"
+  /// BM_BackwardTiled reports and the README quotes.
   [[nodiscard]] const nn::Workspace::Stats& gradTapeStats() const {
     return gradTape_.stats();
   }
@@ -201,8 +204,8 @@ class QiankunNet {
   /// Everything one evaluateInto() call mutates: the decode state (KV arena +
   /// workspace), token/count marshalling scratch, and the phase MLP's
   /// activation workspace.  One slot per worker thread (and one owned by the
-  /// net for evaluate()); all buffers reuse their capacity, so a warm
-  /// evaluateInto performs zero heap allocations.
+  /// net for evaluate() and phases()); all buffers reuse their capacity, so
+  /// a warm evaluateInto performs zero heap allocations.
   struct EvalSlot {
     nn::DecodeState state;
     std::vector<int> tokens;
@@ -234,16 +237,36 @@ class QiankunNet {
                     Index tileRows = 0) const;
 
  private:
-  /// Tokens of a full sample in network input order: [BOS, t_0 .. t_{L-2}].
-  /// The single token-marshalling point of full-sample evaluation — both the
-  /// full-forward and the teacher-forced decode path consume its layout.
-  void inputTokens(const std::vector<Bits128>& samples, std::vector<int>& out) const;
+  /// Tokens of n full samples in network input order: [BOS, t_0 .. t_{L-2}]
+  /// per sample.  The single token-marshalling point of full-sample
+  /// evaluation — the tape forwards and the teacher-forced decode path all
+  /// consume its layout.
+  void inputTokens(const Bits128* samples, Index n, std::vector<int>& out) const;
 
-  /// ln|Psi| of `samples` via the stateless full transformer forward;
-  /// kRecordTape additionally stores the masked conditionals into
-  /// cachedProbs_ ([B, L, 4], the layout backward() consumes).
-  void amplitudesFullForward(const std::vector<Bits128>& samples,
-                             std::vector<Real>& logAmp, nn::GradMode mode);
+  /// +-1 encoding of n qubit strings into out [n, nQubits], the phase MLP
+  /// input.
+  void encodeSpins(const Bits128* samples, Index n, Real* out) const;
+
+  /// Full forward of the tb samples at `samples` onto `tape` (frame `frame`,
+  /// token scratch `tokens`).  Returns the masked conditionals [tb, L, 4]
+  /// (tape-resident, zero past a row's exit from the support) and writes
+  /// each sample's ln|Psi| to logAmp[b] when logAmp is non-null.
+  const Real* amplitudeTile(nn::Tape& tape, nn::TransformerAR::TapeFrame& frame,
+                            std::vector<int>& tokens, const Bits128* samples,
+                            Index tb, Real* logAmp) const;
+
+  /// Record one tile of tb samples on gradTape_ (ampFrame_, phaseFrame_):
+  /// the amplitude and phase forwards.  Returns the tile's masked
+  /// conditionals for backwardTile; logAmp/phase (nullable) receive the
+  /// tile's outputs.  The tile loop of evaluateGrad and the single tile of
+  /// evaluate(kRecordTape) both record through here.
+  const Real* recordTile(const Bits128* samples, Index tb, Real* logAmp,
+                         Real* phase);
+  /// Backprop the tile recordTile left on gradTape_ with per-sample seeds
+  /// dLogAmp[tb], dPhase[tb]; accumulates parameter gradients.
+  void backwardTile(const Bits128* samples, Index tb, const Real* probs,
+                    const Real* dLogAmp, const Real* dPhase);
+
   /// ln|Psi| via the teacher-forced incremental-decode sweep
   /// (TransformerAR::evaluateDecode), every mutable buffer drawn from `slot`.
   /// The one amplitude sweep of evaluate() (on evalSlot_) and evaluateInto()
@@ -253,15 +276,15 @@ class QiankunNet {
                     std::vector<Real>& logAmp, nn::kernels::KernelPolicy kernel,
                     Index tileRows) const;
 
-  /// The phase-MLP forward shared by evaluate() and phases(): +-1 encode the
-  /// qubit strings, run the MLP, copy the scalar outputs.
-  void phaseForward(const std::vector<Bits128>& samples,
-                    std::vector<Real>& phase, nn::GradMode mode);
+  /// Phase-MLP inference on `slot`'s workspace in tileRows-sample tiles
+  /// (0 = TransformerAR::kEvalTileRows): the phase half of evaluateInto(),
+  /// and of evaluate()/phases() on evalSlot_.
+  void phaseInto(EvalSlot& slot, const std::vector<Bits128>& samples,
+                 std::vector<Real>& phase, nn::kernels::KernelPolicy kernel,
+                 Index tileRows) const;
 
   /// d ln|Psi| / d logits for one (sample, position): dl[4] must arrive
-  /// zeroed; pr[4] are that position's masked conditionals.  The single
-  /// seed-to-logit-gradient point of both the monolithic backward() and the
-  /// tiled evaluateGrad(), so their arithmetic cannot drift apart.
+  /// zeroed; pr[4] are that position's masked conditionals.
   void seedLogitRow(Real seed, Bits128 sample, int s, const Real* pr, Real* dl) const;
 
   /// Drop any recorded evaluate (a no-op when none), recording `why` for
@@ -270,9 +293,9 @@ class QiankunNet {
 
   /// Fold position s's masked log-conditional of `sample` (given its logits
   /// lg[4]) into the running (la, nUp, nDown); pr[4] receives the masked
-  /// conditionals (the cachedProbs_ slot backward() consumes).  The single
-  /// accumulation step of *both* amplitude paths, so their arithmetic — and
-  /// the decode-vs-full bit-identity contract — cannot drift apart.
+  /// conditionals.  The single accumulation step of *both* amplitude paths,
+  /// so their arithmetic — and the decode-vs-full bit-identity contract —
+  /// cannot drift apart.
   void stepLogAmp(const Real* lg, Bits128 sample, int s, int& nUp, int& nDown,
                   Real& la, Real* pr) const;
 
@@ -285,26 +308,27 @@ class QiankunNet {
   nn::kernels::KernelPolicy evalKernel_ = nn::kernels::KernelPolicy::kAuto;
   Index evalTileRows_ = 0;  ///< 0 = default tile
   Index gradTileRows_ = 0;  ///< 0 = default tile
-  // Tiled-gradient scratch (evaluateGrad): the per-tile activation tape, the
-  // tile's marshalled tokens, and the caller-owned module frames.  All reuse
-  // their capacity, so a warm tiled training step allocates nothing.
+  // Gradient scratch (evaluateGrad, evaluate(kRecordTape) + backward()):
+  // the per-tile activation tape, the tile's marshalled tokens, and the
+  // caller-owned module frames.  All reuse their capacity, so a warm
+  // training step allocates nothing.
   nn::Tape gradTape_;
   std::vector<int> gradTokens_;
   nn::TransformerAR::TapeFrame ampFrame_;
   nn::PhaseMlp::TapeFrame phaseFrame_;
-  // Persistent evaluate() scratch: the decode state, the marshalled input
-  // tokens (also the full-forward path's) and the per-row running counts.
-  // All re-use their capacity, so the warm decode-path *amplitude* sweep of
-  // any batch size allocates nothing (the contract BM_Evaluate asserts); the
-  // phase MLP still builds its input/output tensors per call, so phaseWs
-  // stays unused here.
+  // Persistent inference scratch of evaluate()/phases(): the decode state,
+  // the marshalled input tokens (also the full-forward path's), the per-row
+  // running counts and the phase workspace.  All re-use their capacity, so
+  // the warm decode-path sweep of any batch size allocates nothing (the
+  // contract BM_Evaluate asserts).
   EvalSlot evalSlot_;
-  // Backward caches.  cachedBatch_ == -1 means "no cached forward"; an empty
-  // cached batch (0) makes backward a no-op so ranks that received no samples
-  // still participate in the gradient collectives with zero contributions.
-  long cachedBatch_ = -1;
-  std::vector<Bits128> cachedSamples_;
-  nn::Tensor cachedProbs_;  ///< [B, L, 4] masked conditional probabilities
+  // The pending evaluate(kRecordTape): recordedBatch_ == -1 means none; an
+  // empty recorded batch (0) makes backward a no-op so ranks that received
+  // no samples still participate in the gradient collectives with zero
+  // contributions.  The activations themselves live on gradTape_.
+  long recordedBatch_ = -1;
+  std::vector<Bits128> recordedSamples_;
+  const Real* recordedProbs_ = nullptr;  ///< [B, L, 4] on gradTape_
   const char* staleReason_ = nn::stale::kNeverRecorded;
   std::vector<nn::Parameter*> paramCache_;
 };

@@ -59,6 +59,11 @@ SpinHamiltonian jordanWigner(const scf::MoIntegrals& mo, Real cutoff) {
   for (int p = 0; p < nso; ++p)
     for (int q = p + 1; q < nso; ++q) pairs.emplace_back(p, q);
 
+  // Each thread sums a fixed round-robin set of 8-pair chunks (static
+  // schedule, balanced like the dynamic one it replaces) into its own map,
+  // and the maps merge in thread order, so every coefficient's summation
+  // order depends only on the thread count, never on timing: repeated
+  // builds on the same thread count agree bit for bit.
   const int nThreads = omp_get_max_threads();
   std::vector<TermMap> partial(static_cast<std::size_t>(nThreads));
 
@@ -66,7 +71,7 @@ SpinHamiltonian jordanWigner(const scf::MoIntegrals& mo, Real cutoff) {
   {
     TermMap& local = partial[static_cast<std::size_t>(omp_get_thread_num())];
     local.reserve(1 << 14);
-#pragma omp for schedule(dynamic, 8)
+#pragma omp for schedule(static, 8)
     for (std::size_t ip = 0; ip < pairs.size(); ++ip) {
       const auto [p, q] = pairs[ip];
       const PauliSum bra = multiply(jwLadder(p, true), jwLadder(q, true));

@@ -261,8 +261,8 @@ VmcResult runVmc(const ops::PackedHamiltonian& hamiltonian,
       // computed up front and the forward+backward runs through the
       // recompute-in-tiles gradient path (ExecutionPolicy::gradTileRows):
       // peak training activation memory is one tile's, not the chunk's, and
-      // the accumulated gradients are bit-identical to the monolithic
-      // recording-evaluate + backward this replaced.
+      // the accumulated gradients are bit-identical to a single-tile
+      // evaluate(kRecordTape) + backward().
       std::vector<Real> dLogAmp(local.nUnique()), dPhase(local.nUnique());
       for (std::size_t i = 0; i < local.nUnique(); ++i) {
         const Complex delta = eloc[i] - eMean;

@@ -51,6 +51,37 @@ std::vector<std::uint8_t> readFile(const std::string& path) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
+void putLe(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+/// Tensor-section payload: rank, the given dims, then `nData` zero reals.
+std::vector<std::uint8_t> tensorPayload(std::uint32_t rank,
+                                        const std::vector<std::uint64_t>& dims,
+                                        std::size_t nData) {
+  std::vector<std::uint8_t> p;
+  putLe(p, rank, 4);
+  for (const std::uint64_t d : dims) putLe(p, d, 8);
+  p.resize(p.size() + 8 * nData, 0);
+  return p;
+}
+
+/// A one-section image whose tensor section "t" carries `payload` verbatim
+/// under a recomputed (valid) CRC, so the reader's framing accepts it and
+/// only getTensor's own validation stands between the bytes and an
+/// allocation.
+std::vector<std::uint8_t> tensorImage(const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> out = CheckpointWriter{}.serialize();  // header only
+  out[12] = 1;  // section count, u32 LE after magic (8) + version (4)
+  out.push_back(static_cast<std::uint8_t>(SectionKind::kTensor));
+  putLe(out, 1, 4);
+  out.push_back('t');
+  putLe(out, payload.size(), 8);
+  out.insert(out.end(), payload.begin(), payload.end());
+  putLe(out, crc32(payload.data(), payload.size()), 4);
+  return out;
+}
+
 /// Byte offset of the first section's payload: header (8 magic + 4 version +
 /// 4 count) + kind (1) + name length (4) + the name itself + payload length
 /// (8).  The first section addNet emits is "net.cfg.nQubits".
@@ -262,6 +293,34 @@ TEST(Checkpoint, SchemaErrorsNameTheField) {
   CheckpointWriter w;
   w.addU64("x", 1);
   EXPECT_THROW(w.addU64("x", 2), SchemaError);
+}
+
+TEST(Checkpoint, HostileTensorShapesAreRejectedBeforeAllocating) {
+  // The framing helper itself produces readable images.
+  const CheckpointReader ok(tensorImage(tensorPayload(2, {2, 3}, 6)));
+  const nn::Tensor t = ok.getTensor("t");
+  EXPECT_EQ(t.shape, (std::vector<Index>{2, 3}));
+  EXPECT_EQ(t.numel(), 6);
+
+  auto expectSchema = [](const std::vector<std::uint8_t>& payload, const char* why) {
+    const CheckpointReader r(tensorImage(payload));
+    try {
+      static_cast<void>(r.getTensor("t"));
+      FAIL() << "expected SchemaError: " << why;
+    } catch (const SchemaError& e) {
+      EXPECT_NE(std::string(e.what()).find("at 't'"), std::string::npos) << e.what();
+    }
+  };
+  // A rank the payload cannot hold: ~32 GiB of shape, no dims.
+  expectSchema(tensorPayload(0xFFFFFFFFu, {}, 0), "rank beyond payload");
+  expectSchema(tensorPayload(3, {2, 3}, 0), "rank one past the dims");
+  // Dims whose product overflows Index, with no data.
+  expectSchema(tensorPayload(2, {1ull << 32, 1ull << 32}, 0), "dim product overflow");
+  // An Index-sized element count whose byte size wraps size_t.
+  expectSchema(tensorPayload(1, {1ull << 61}, 0), "byte size wraps");
+  // A dim beyond Index and a payload one real short.
+  expectSchema(tensorPayload(1, {~0ull}, 0), "dim beyond Index");
+  expectSchema(tensorPayload(2, {2, 3}, 5), "short data");
 }
 
 TEST(Checkpoint, FailedLoadHasNoPartialSideEffects) {

@@ -1,11 +1,12 @@
 // Teacher-forced batched evaluate() on the incremental-decode engine:
 // bit-identity with the stateless full-forward path for amplitudes, phases,
 // logits, and gradients, across KernelPolicy x DecodePolicy on ragged batch
-// sizes (empty batches, batches larger than one tile), plus the cache
-// invalidation guard of GradMode::kInference evaluates.
+// sizes (empty batches, batches larger than one tile), plus the read-only
+// rule: an inference evaluate leaves a pending recording intact.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
@@ -111,7 +112,7 @@ TEST(Evaluate, DecodeMatchesFullForwardBitIdentical) {
 
 TEST(Evaluate, TransformerEvaluateDecodeMatchesForwardLogits) {
   // TransformerAR level: the teacher-forced sweep's per-position logits are
-  // bit-identical to the corresponding positions of forward(), including
+  // bit-identical to the corresponding positions of forwardTape(), including
   // across tile boundaries (batch 10, tileRows 3 -> tiles of 3, 3, 3, 1).
   const Index L = 7, d = 16, heads = 4, layers = 2, batch = 10;
   Rng rng(41);
@@ -123,7 +124,12 @@ TEST(Evaluate, TransformerEvaluateDecodeMatchesForwardLogits) {
     for (Index s = 1; s < L; ++s)
       tokens[static_cast<std::size_t>(b * L + s)] = static_cast<int>(tok.below(4));
   }
-  const nn::Tensor ref = net.forward(tokens, L, nn::GradMode::kInference);
+  nn::Tape tape;
+  tape.reset();
+  nn::TransformerAR::TapeFrame frame;
+  const Real* logits = net.forwardTape(tape, frame, tokens.data(), batch * L, L);
+  nn::Tensor ref({batch * L, 4});
+  std::copy(logits, logits + ref.numel(), ref.data.begin());
 
   for (auto kernel : kAllKernels) {
     std::vector<Real> got(static_cast<std::size_t>(batch * L * 4), -1.0);
@@ -257,29 +263,45 @@ TEST(Evaluate, GradcheckWithDecodePathLoss) {
   }
 }
 
-TEST(Evaluate, CacheFalseInvalidatesLikeTheModules) {
-  // An inference-mode evaluate — either engine — must invalidate the previously
-  // cached evaluate: a stale backward() throws instead of silently mixing
-  // old cachedProbs_ with fresh (or missing) activations.
+TEST(Evaluate, InferenceBetweenRecordAndBackwardChangesNothing) {
+  // Inference never writes the network or its gradient tape: an inference
+  // evaluate (either engine) or phases() between a recording evaluate and
+  // its backward() leaves every parameter gradient bit-identical to a
+  // backward with nothing in between.  backward() still consumes the
+  // recording: a second one throws.
   const int n = 8, na = 2, nb = 2;
   const auto samples = [&] {
     auto s = numberSector(n, na, nb);
     s.resize(3);
     return s;
   }();
+  const auto other = [&] {
+    auto s = numberSector(n, na, nb);
+    return std::vector<Bits128>(s.end() - 5, s.end());
+  }();
   const std::vector<Real> dLa = {0.1, 0.2, 0.3}, dPh = {0.4, 0.5, 0.6};
-  for (DecodePolicy policy : {DecodePolicy::kFullForward, DecodePolicy::kKvCache}) {
+  auto gradsWith = [&](DecodePolicy policy, int between) {
     QiankunNet net(smallConfig(n, na, nb));
     net.setEvalPolicy(execFor(policy));
     std::vector<Real> la, ph;
     net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-    net.evaluate(samples, la, ph, nn::GradMode::kInference);
-    EXPECT_THROW(net.backward(dLa, dPh), std::logic_error);
-    // A fresh cached evaluate restores the gradient path.
-    net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
+    std::vector<Real> la2, ph2;
+    if (between == 1) net.evaluate(other, la2, ph2, nn::GradMode::kInference);
+    if (between == 2) net.phases(other, ph2);
     EXPECT_NO_THROW(net.backward(dLa, dPh));
-    // backward consumed the cache: a second backward throws again.
     EXPECT_THROW(net.backward(dLa, dPh), std::logic_error);
+    std::vector<Real> g;
+    net.flattenGradients(g);
+    return g;
+  };
+  for (DecodePolicy policy : {DecodePolicy::kFullForward, DecodePolicy::kKvCache}) {
+    const auto ref = gradsWith(policy, 0);
+    for (int between : {1, 2}) {
+      const auto got = gradsWith(policy, between);
+      ASSERT_EQ(ref.size(), got.size());
+      for (std::size_t i = 0; i < ref.size(); ++i)
+        EXPECT_EQ(ref[i], got[i]) << "between " << between << " grad " << i;
+    }
   }
 }
 
@@ -446,10 +468,6 @@ TEST(EvaluateGrad, StaleBackwardNamesTheModuleAndTheInvalidator) {
   };
   // Never recorded.
   expectBackwardError(nn::stale::kNeverRecorded);
-  // Recorded, then invalidated by an inference forward.
-  net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
-  net.evaluate(samples, la, ph, nn::GradMode::kInference);
-  expectBackwardError(nn::stale::kInferenceForward);
   // Recorded, then invalidated by a tape-recording (evaluateGrad) pass.
   net.evaluate(samples, la, ph, nn::GradMode::kRecordTape);
   net.evaluateGrad(samples, dLa, dPh);

@@ -155,8 +155,8 @@ TEST(Gemm, LinearForwardMatchesHandLoop) {
   Linear lin(in, out, rng, "t");
   Tensor x({rows, in});
   x.randn(rng, 1.0);
-  const Tensor y = lin.forward(x, GradMode::kInference);
-  ASSERT_EQ(y.numel(), rows * out);
+  Tensor y({rows, out});
+  lin.forwardInto(x.data.data(), rows, y.data.data(), KernelPolicy::kAuto);
   for (Index r = 0; r < rows; ++r)
     for (Index o = 0; o < out; ++o) {
       Real s = lin.b.value[static_cast<std::size_t>(o)];
@@ -176,9 +176,14 @@ TEST(Gemm, LinearPoliciesAgree) {
   Linear lin(in, out, rng, "qkv");
   Tensor x({rows, in});
   x.randn(rng, 1.0);
-  const Tensor ref = lin.forward(x, GradMode::kInference, KernelPolicy::kScalar);
+  auto forward = [&](KernelPolicy policy) {
+    Tensor y({rows, out});
+    lin.forwardInto(x.data.data(), rows, y.data.data(), policy);
+    return y;
+  };
+  const Tensor ref = forward(KernelPolicy::kScalar);
   for (auto policy : {KernelPolicy::kSimd, KernelPolicy::kThreaded, KernelPolicy::kAuto}) {
-    const Tensor got = lin.forward(x, GradMode::kInference, policy);
+    const Tensor got = forward(policy);
     for (std::size_t i = 0; i < ref.data.size(); ++i)
       EXPECT_EQ(ref.data[i], got.data[i]) << i;
   }

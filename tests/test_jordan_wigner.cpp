@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <map>
 
 #include "chem/basis_set.hpp"
@@ -134,5 +136,22 @@ TEST(JordanWigner, SaveLoadRoundTrip) {
   for (std::size_t i = 0; i < h.nTerms(); ++i) {
     EXPECT_EQ(r.strings[i], h.strings[i]);
     EXPECT_NEAR(r.coeffs[i], h.coeffs[i], 1e-14);
+  }
+}
+
+TEST(JordanWigner, RepeatedMultiThreadedBuildsAreBitIdentical) {
+  // The two-body sum runs on several threads; its per-coefficient summation
+  // order must depend on the thread count only, never on scheduling.
+  const auto mo = moFor("LiH");
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(4);
+  const SpinHamiltonian a = jordanWigner(mo);
+  const SpinHamiltonian b = jordanWigner(mo);
+  omp_set_num_threads(saved);
+  ASSERT_EQ(a.nTerms(), b.nTerms());
+  EXPECT_EQ(a.constant, b.constant);
+  for (std::size_t i = 0; i < a.nTerms(); ++i) {
+    EXPECT_EQ(a.strings[i], b.strings[i]) << i;
+    EXPECT_EQ(a.coeffs[i], b.coeffs[i]) << i;
   }
 }

@@ -42,6 +42,22 @@ void gradcheckParams(std::vector<Parameter*> params, const Fwd& forwardLoss,
   }
 }
 
+/// sum(w * y) for the output y [n] of one tape forward on a fresh tape;
+/// with `dy` non-null, also backprop w through the recorded frame.  `record`
+/// runs the module's forwardTape (filling its frame) and returns y; `back`
+/// runs its backwardTape on that frame.
+template <typename Record, typename Back>
+Real tapeLoss(const Tensor& w, const Record& record, const Back& back,
+              bool withBackward) {
+  Tape tape;
+  tape.reset();
+  const Real* y = record(tape);
+  Real s = 0;
+  for (std::size_t i = 0; i < w.data.size(); ++i) s += w.data[i] * y[i];
+  if (withBackward) back(tape, w.data.data());
+  return s;
+}
+
 }  // namespace
 
 TEST(GradCheck, Linear) {
@@ -51,18 +67,13 @@ TEST(GradCheck, Linear) {
   x.randn(rng, 1.0);
   Tensor w({2, 3});
   w.randn(rng, 1.0);
-  auto loss = [&] {
-    const Tensor y = lin.forward(x, GradMode::kInference);
-    Real s = 0;
-    for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
-    return s;
-  };
+  Linear::TapeFrame f;
+  auto record = [&](Tape& t) { return lin.forwardTape(t, f, x.data.data(), 2); };
+  auto back = [&](Tape& t, const Real* dy) { lin.backwardTape(t, f, dy); };
+  auto loss = [&] { return tapeLoss(w, record, back, false); };
   std::vector<Parameter*> params;
   lin.collectParameters(params);
-  gradcheckParams(params, loss, [&] {
-    lin.forward(x, GradMode::kRecordTape);
-    lin.backward(w);
-  }, 1e-6, 6);
+  gradcheckParams(params, loss, [&] { tapeLoss(w, record, back, true); }, 1e-6, 6);
 }
 
 TEST(GradCheck, LayerNorm) {
@@ -74,18 +85,13 @@ TEST(GradCheck, LayerNorm) {
   x.randn(rng, 2.0);
   Tensor w({3, 6});
   w.randn(rng, 1.0);
-  auto loss = [&] {
-    const Tensor y = ln.forward(x, GradMode::kInference);
-    Real s = 0;
-    for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
-    return s;
-  };
+  LayerNorm::TapeFrame f;
+  auto record = [&](Tape& t) { return ln.forwardTape(t, f, x.data.data(), 3); };
+  auto back = [&](Tape& t, const Real* dy) { ln.backwardTape(t, f, dy); };
+  auto loss = [&] { return tapeLoss(w, record, back, false); };
   std::vector<Parameter*> params;
   ln.collectParameters(params);
-  gradcheckParams(params, loss, [&] {
-    ln.forward(x, GradMode::kRecordTape);
-    ln.backward(w);
-  }, 1e-5, 4);
+  gradcheckParams(params, loss, [&] { tapeLoss(w, record, back, true); }, 1e-5, 4);
 }
 
 TEST(GradCheck, AttentionAndDecoderStack) {
@@ -94,18 +100,13 @@ TEST(GradCheck, AttentionAndDecoderStack) {
   const std::vector<int> tokens = {4, 1, 3, 0, 4, 2, 0, 1};  // batch of 2
   Tensor w({2 * 4, 4});
   w.randn(rng, 1.0);
-  auto loss = [&] {
-    const Tensor y = net.forward(tokens, 4, GradMode::kInference);
-    Real s = 0;
-    for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
-    return s;
-  };
+  TransformerAR::TapeFrame f;
+  auto record = [&](Tape& t) { return net.forwardTape(t, f, tokens.data(), 8, 4); };
+  auto back = [&](Tape& t, const Real* dy) { net.backwardTape(t, f, dy); };
+  auto loss = [&] { return tapeLoss(w, record, back, false); };
   std::vector<Parameter*> params;
   net.collectParameters(params);
-  gradcheckParams(params, loss, [&] {
-    net.forward(tokens, 4, GradMode::kRecordTape);
-    net.backward(w);
-  }, 2e-5, 2);
+  gradcheckParams(params, loss, [&] { tapeLoss(w, record, back, true); }, 2e-5, 2);
 }
 
 TEST(GradCheck, PhaseMlp) {
@@ -115,18 +116,13 @@ TEST(GradCheck, PhaseMlp) {
   x.randn(rng, 1.0);
   Tensor w({3, 1});
   w.randn(rng, 1.0);
-  auto loss = [&] {
-    const Tensor y = mlp.forward(x, GradMode::kInference);
-    Real s = 0;
-    for (std::size_t i = 0; i < y.data.size(); ++i) s += w.data[i] * y.data[i];
-    return s;
-  };
+  PhaseMlp::TapeFrame f;
+  auto record = [&](Tape& t) { return mlp.forwardTape(t, f, x.data.data(), 3); };
+  auto back = [&](Tape& t, const Real* dy) { mlp.backwardTape(t, f, dy); };
+  auto loss = [&] { return tapeLoss(w, record, back, false); };
   std::vector<Parameter*> params;
   mlp.collectParameters(params);
-  gradcheckParams(params, loss, [&] {
-    mlp.forward(x, GradMode::kRecordTape);
-    mlp.backward(w);
-  }, 1e-6, 3);
+  gradcheckParams(params, loss, [&] { tapeLoss(w, record, back, true); }, 1e-6, 3);
 }
 
 TEST(GradCheck, QiankunNetVmcLoss) {

@@ -10,16 +10,43 @@
 using namespace nnqs;
 using namespace nnqs::nn;
 
+namespace {
+
+/// Run one tape forward on a fresh tape and copy its first `n` outputs out.
+template <typename Fwd>
+std::vector<Real> onTape(Index n, const Fwd& forward) {
+  Tape tape;
+  tape.reset();
+  const Real* y = forward(tape);
+  return {y, y + n};
+}
+
+/// Logits [tokens.size(), 4] of the amplitude net's tape forward.
+std::vector<Real> logitsOf(const TransformerAR& net, const std::vector<int>& tokens,
+                           Index window) {
+  const auto rows = static_cast<Index>(tokens.size());
+  return onTape(rows * 4, [&](Tape& tape) {
+    TransformerAR::TapeFrame f;
+    return net.forwardTape(tape, f, tokens.data(), rows, window);
+  });
+}
+
+}  // namespace
+
 TEST(Linear, ForwardShapeAndBias) {
   Rng rng(1);
   Linear lin(3, 2, rng, "t");
   lin.w.value.setZero();
   lin.b.value.data = {1.5, -0.5};
   Tensor x({2, 3});
-  Tensor y = lin.forward(x, GradMode::kInference);
-  EXPECT_EQ(y.shape[1], 2);
-  EXPECT_DOUBLE_EQ(y.data[0], 1.5);
-  EXPECT_DOUBLE_EQ(y.data[1], -0.5);
+  const auto y = onTape(2 * 2, [&](Tape& tape) {
+    Linear::TapeFrame f;
+    return lin.forwardTape(tape, f, x.data.data(), 2);
+  });
+  EXPECT_DOUBLE_EQ(y[0], 1.5);
+  EXPECT_DOUBLE_EQ(y[1], -0.5);
+  EXPECT_DOUBLE_EQ(y[2], 1.5);
+  EXPECT_DOUBLE_EQ(y[3], -0.5);
 }
 
 TEST(Linear, LinearityProperty) {
@@ -30,13 +57,19 @@ TEST(Linear, LinearityProperty) {
   x2.randn(rng, 1.0);
   Tensor sum({1, 4});
   for (int i = 0; i < 4; ++i) sum.data[i] = x1.data[i] + x2.data[i];
-  const Tensor y1 = lin.forward(x1, GradMode::kInference);
-  const Tensor y2 = lin.forward(x2, GradMode::kInference);
-  const Tensor ys = lin.forward(sum, GradMode::kInference);
+  auto forward = [&](const Tensor& x) {
+    return onTape(3, [&](Tape& tape) {
+      Linear::TapeFrame f;
+      return lin.forwardTape(tape, f, x.data.data(), 1);
+    });
+  };
+  const auto y1 = forward(x1);
+  const auto y2 = forward(x2);
+  const auto ys = forward(sum);
   // f(a+b) = f(a) + f(b) - f(0) for affine maps.
-  const Tensor y0 = lin.forward(Tensor({1, 4}), GradMode::kInference);
+  const auto y0 = forward(Tensor({1, 4}));
   for (int i = 0; i < 3; ++i)
-    EXPECT_NEAR(ys.data[i], y1.data[i] + y2.data[i] - y0.data[i], 1e-12);
+    EXPECT_NEAR(ys[i], y1[i] + y2[i] - y0[i], 1e-12);
 }
 
 TEST(LayerNorm, OutputNormalized) {
@@ -44,12 +77,15 @@ TEST(LayerNorm, OutputNormalized) {
   LayerNorm ln(8, "t");
   Tensor x({4, 8});
   x.randn(rng, 3.0);
-  const Tensor y = ln.forward(x, GradMode::kInference);
+  const auto y = onTape(4 * 8, [&](Tape& tape) {
+    LayerNorm::TapeFrame f;
+    return ln.forwardTape(tape, f, x.data.data(), 4);
+  });
   for (int r = 0; r < 4; ++r) {
     Real mean = 0, var = 0;
-    for (int i = 0; i < 8; ++i) mean += y.data[r * 8 + i];
+    for (int i = 0; i < 8; ++i) mean += y[r * 8 + i];
     mean /= 8;
-    for (int i = 0; i < 8; ++i) var += std::pow(y.data[r * 8 + i] - mean, 2);
+    for (int i = 0; i < 8; ++i) var += std::pow(y[r * 8 + i] - mean, 2);
     var /= 8;
     EXPECT_NEAR(mean, 0.0, 1e-10);
     EXPECT_NEAR(var, 1.0, 1e-3);
@@ -58,24 +94,28 @@ TEST(LayerNorm, OutputNormalized) {
 
 TEST(Gelu, KnownValues) {
   Gelu g;
-  Tensor x({1, 3});
-  x.data = {0.0, 100.0, -100.0};
-  const Tensor y = g.forward(x, GradMode::kInference);
-  EXPECT_NEAR(y.data[0], 0.0, 1e-12);
-  EXPECT_NEAR(y.data[1], 100.0, 1e-6);
-  EXPECT_NEAR(y.data[2], 0.0, 1e-6);
+  const std::vector<Real> x = {0.0, 100.0, -100.0};
+  const auto y = onTape(3, [&](Tape& tape) {
+    Gelu::TapeFrame f;
+    return g.forwardTape(tape, f, x.data(), 3);
+  });
+  EXPECT_NEAR(y[0], 0.0, 1e-12);
+  EXPECT_NEAR(y[1], 100.0, 1e-6);
+  EXPECT_NEAR(y[2], 0.0, 1e-6);
 }
 
 TEST(Embedding, LookupAddsPosition) {
   Rng rng(4);
   Embedding emb(5, 3, 2, rng, "t");
   const std::vector<int> tokens = {1, 0, 2};  // one sequence of length 3
-  const Tensor y = emb.forward(tokens, 3, GradMode::kInference);
+  const auto y = onTape(3 * 2, [&](Tape& tape) {
+    return emb.forwardTape(tape, tokens.data(), 3, 3);
+  });
   for (int d = 0; d < 2; ++d) {
-    EXPECT_NEAR(y.data[0 * 2 + d],
+    EXPECT_NEAR(y[0 * 2 + d],
                 emb.token.value.data[1 * 2 + d] + emb.position.value.data[0 * 2 + d],
                 1e-14);
-    EXPECT_NEAR(y.data[2 * 2 + d],
+    EXPECT_NEAR(y[2 * 2 + d],
                 emb.token.value.data[2 * 2 + d] + emb.position.value.data[2 * 2 + d],
                 1e-14);
   }
@@ -86,15 +126,15 @@ TEST(TransformerAR, CausalityOfLogits) {
   Rng rng(5);
   TransformerAR net(6, 16, 4, 2, rng);
   std::vector<int> tokens = {4, 1, 2, 0, 3, 1};
-  const Tensor base = net.forward(tokens, 6, GradMode::kInference);
+  const auto base = logitsOf(net, tokens, 6);
   tokens[5] = 0;  // mutate the last token
-  const Tensor mut = net.forward(tokens, 6, GradMode::kInference);
+  const auto mut = logitsOf(net, tokens, 6);
   for (int pos = 0; pos < 5; ++pos)
     for (int t = 0; t < 4; ++t)
-      EXPECT_NEAR(base.data[pos * 4 + t], mut.data[pos * 4 + t], 1e-12) << pos;
+      EXPECT_NEAR(base[pos * 4 + t], mut[pos * 4 + t], 1e-12) << pos;
   // But the final position generally changes.
   Real diff = 0;
-  for (int t = 0; t < 4; ++t) diff += std::abs(base.data[5 * 4 + t] - mut.data[5 * 4 + t]);
+  for (int t = 0; t < 4; ++t) diff += std::abs(base[5 * 4 + t] - mut[5 * 4 + t]);
   EXPECT_GT(diff, 1e-8);
 }
 
@@ -104,101 +144,77 @@ TEST(TransformerAR, PrefixWindowConsistency) {
   Rng rng(6);
   TransformerAR net(5, 16, 4, 2, rng);
   const std::vector<int> full = {4, 0, 3, 1, 2};
-  const Tensor all = net.forward(full, 5, GradMode::kInference);
+  const auto all = logitsOf(net, full, 5);
   for (int w = 1; w <= 5; ++w) {
     const std::vector<int> prefix(full.begin(), full.begin() + w);
-    const Tensor part = net.forward(prefix, w, GradMode::kInference);
+    const auto part = logitsOf(net, prefix, w);
     for (int t = 0; t < 4; ++t)
-      EXPECT_NEAR(part.data[(w - 1) * 4 + t], all.data[(w - 1) * 4 + t], 1e-10);
+      EXPECT_NEAR(part[(w - 1) * 4 + t], all[(w - 1) * 4 + t], 1e-10);
   }
 }
 
-// ---- stale-cache regression: a cache=false forward invalidates the cache,
-// so a subsequent backward throws instead of silently computing gradients
-// against the *previous* cached activations.
+TEST(TransformerAR, ForwardTapeRejectsBadWindows) {
+  Rng rng(7);
+  TransformerAR net(4, 8, 2, 1, rng);
+  const std::vector<int> tokens(10, 0);
+  Tape tape;
+  TransformerAR::TapeFrame f;
+  // Longer than the sequence, zero, and not dividing the row count.
+  for (Index window : {5, 0, 3})
+    EXPECT_THROW(net.forwardTape(tape, f, tokens.data(), 10, window),
+                 std::invalid_argument) << "window " << window;
+}
 
-TEST(StaleCache, LinearThrowsAfterNonCachingForward) {
+// ---- unrecorded frames: backwardTape on a frame no forwardTape filled must
+// throw a StaleTapeError naming the module, not read null spans.
+
+TEST(StaleTape, UnrecordedFramesThrowNamingTheModule) {
   Rng rng(21);
-  Linear lin(3, 2, rng, "t");
-  Tensor x({2, 3}), dy({2, 2});
-  x.randn(rng, 1.0);
-  dy.randn(rng, 1.0);
-  lin.forward(x, GradMode::kRecordTape);
-  EXPECT_NO_THROW(lin.backward(dy));  // proper cached flow still works
-  lin.forward(x, GradMode::kRecordTape);
-  lin.forward(x, GradMode::kInference);  // invalidates: backward must not use the stale cache
-  EXPECT_THROW(lin.backward(dy), std::logic_error);
-  EXPECT_THROW(lin.backward(dy), std::logic_error);  // stays invalid
+  Linear lin(3, 2, rng, "enc.ff1");
+  LayerNorm ln(4, "enc.ln1");
+  Gelu gelu("enc.gelu");
+  TanhAct tanhAct("phase.tanh0");
+  CausalSelfAttention attn(8, 2, rng, "blk0.attn");
+  const std::vector<Real> dy(64, 0.5);
+  Tape tape;
+  tape.reset();
+  auto expectError = [&](const char* name, const auto& backward) {
+    try {
+      backward();
+      FAIL() << "expected StaleTapeError for " << name;
+    } catch (const StaleTapeError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+      EXPECT_NE(what.find(stale::kUnrecordedFrame), std::string::npos) << what;
+    }
+  };
+  expectError("enc.ff1", [&] { lin.backwardTape(tape, Linear::TapeFrame{}, dy.data()); });
+  expectError("enc.ln1", [&] { ln.backwardTape(tape, LayerNorm::TapeFrame{}, dy.data()); });
+  expectError("enc.gelu", [&] { gelu.backwardTape(tape, Gelu::TapeFrame{}, dy.data()); });
+  expectError("phase.tanh0",
+              [&] { tanhAct.backwardTape(tape, TanhAct::TapeFrame{}, dy.data()); });
+  expectError("blk0.attn", [&] {
+    attn.backwardTape(tape, CausalSelfAttention::TapeFrame{}, dy.data());
+  });
+  // No gradient was touched on the way to the throw.
+  for (Real v : lin.w.grad.data) EXPECT_EQ(v, 0.0);
 }
 
-TEST(StaleCache, LayerNormThrowsAfterNonCachingForward) {
-  Rng rng(22);
-  LayerNorm ln(4, "t");
-  Tensor x({3, 4}), dy({3, 4});
-  x.randn(rng, 1.0);
-  dy.randn(rng, 1.0);
-  ln.forward(x, GradMode::kRecordTape);
-  EXPECT_NO_THROW(ln.backward(dy));
-  ln.forward(x, GradMode::kRecordTape);
-  ln.forward(x, GradMode::kInference);
-  EXPECT_THROW(ln.backward(dy), std::logic_error);
-}
-
-TEST(StaleCache, GeluThrowsAfterNonCachingForward) {
-  Rng rng(23);
-  Gelu g;
-  Tensor x({2, 5}), dy({2, 5});
-  x.randn(rng, 1.0);
-  dy.randn(rng, 1.0);
-  g.forward(x, GradMode::kRecordTape);
-  EXPECT_NO_THROW(g.backward(dy));
-  g.forward(x, GradMode::kRecordTape);
-  g.forward(x, GradMode::kInference);
-  EXPECT_THROW(g.backward(dy), std::logic_error);
-}
-
-TEST(StaleCache, TanhActThrowsAfterNonCachingForward) {
-  Rng rng(24);
-  TanhAct t;
-  Tensor x({2, 5}), dy({2, 5});
-  x.randn(rng, 1.0);
-  dy.randn(rng, 1.0);
-  t.forward(x, GradMode::kRecordTape);
-  EXPECT_NO_THROW(t.backward(dy));
-  t.forward(x, GradMode::kRecordTape);
-  t.forward(x, GradMode::kInference);
-  EXPECT_THROW(t.backward(dy), std::logic_error);
-}
-
-TEST(StaleCache, EmbeddingThrowsAfterNonCachingForward) {
-  Rng rng(25);
-  Embedding emb(5, 4, 3, rng, "t");
-  Tensor dy({2, 3});
-  dy.randn(rng, 1.0);
-  emb.forward({1, 2}, 2, GradMode::kRecordTape);
-  EXPECT_NO_THROW(emb.backward(dy));
-  emb.forward({1, 2}, 2, GradMode::kRecordTape);
-  emb.forward({1, 2}, 2, GradMode::kInference);
-  EXPECT_THROW(emb.backward(dy), std::logic_error);
-}
-
-TEST(StaleCache, AttentionThrowsAfterNonCachingForward) {
+TEST(StaleTape, DecodeStepBetweenRecordAndBackwardChangesNothing) {
+  // A decode step is read-only: backward after one equals backward without.
   Rng rng(26);
-  CausalSelfAttention attn(8, 2, 3, rng, "t");
+  CausalSelfAttention attn(8, 2, rng, "t");
   Tensor x({6, 8}), dy({6, 8});
   x.randn(rng, 1.0);
   dy.randn(rng, 1.0);
-  attn.forward(x, GradMode::kRecordTape);
-  EXPECT_NO_THROW(attn.backward(dy));
-  attn.forward(x, GradMode::kRecordTape);
-  attn.forward(x, GradMode::kInference);
-  EXPECT_THROW(attn.backward(dy), std::logic_error);
-  // A decode step is read-only: backward after one equals backward without.
   std::vector<Parameter*> params;
   attn.collectParameters(params);
   auto recordAndBackward = [&](bool decodeInBetween) {
     for (Parameter* p : params) p->grad.setZero();
-    attn.forward(x, GradMode::kRecordTape);
+    Tape tape;
+    tape.reset();
+    CausalSelfAttention::TapeFrame f;
+    attn.forwardTape(tape, f, x.data.data(), 6, 3);
     if (decodeInBetween) {
       DecodeState st;
       st.begin(2, 3, 8, 1);
@@ -208,8 +224,9 @@ TEST(StaleCache, AttentionThrowsAfterNonCachingForward) {
       Real* out = st.ws.alloc(2 * 8);
       attn.decodeStep(step.data.data(), 2, st, 0, out);
     }
-    std::vector<RealBuffer> result{attn.backward(dy).data};
-    for (Parameter* p : params) result.push_back(p->grad.data);
+    const Real* dx = attn.backwardTape(tape, f, dy.data.data());
+    std::vector<std::vector<Real>> result{{dx, dx + 6 * 8}};
+    for (Parameter* p : params) result.emplace_back(p->grad.data.begin(), p->grad.data.end());
     return result;
   };
   const auto plain = recordAndBackward(false);
@@ -219,62 +236,22 @@ TEST(StaleCache, AttentionThrowsAfterNonCachingForward) {
     EXPECT_EQ(plain[i], withDecode[i]) << (i == 0 ? "dx" : "parameter grad");
 }
 
-// ---- empty-batch regression: a *cached* zero-row forward is a valid cache
-// (empty batches occur on ranks with no local samples); backward must be a
-// no-op, not a logic_error — the old cachedTokens_.empty() sentinel conflated
-// the two.
+// ---- empty-batch regression: a *recorded* zero-row frame is valid (empty
+// batches occur on ranks with no local samples); backward must be a no-op,
+// distinct from the unrecorded frame above.
 
-TEST(EmptyBatch, EmbeddingBackwardAfterCachedEmptyForwardIsNoOp) {
-  Rng rng(27);
-  Embedding emb(5, 4, 3, rng, "t");
-  const Tensor y = emb.forward({}, 4, GradMode::kRecordTape);
-  EXPECT_EQ(y.numel(), 0);
-  Tensor dy({0, 3});
-  EXPECT_NO_THROW(emb.backward(dy));
-  for (Real v : emb.token.grad.data) EXPECT_EQ(v, 0.0);
-  // Without any cached forward it still throws.
-  emb.forward({}, 4, GradMode::kInference);
-  EXPECT_THROW(emb.backward(dy), std::logic_error);
-}
-
-TEST(EmptyBatch, LinearCachedEmptyForwardBackwardIsNoOp) {
+TEST(EmptyBatch, LinearRecordedEmptyFrameBackwardIsNoOp) {
   Rng rng(28);
   Linear lin(3, 2, rng, "t");
-  lin.forward(Tensor({0, 3}), GradMode::kRecordTape);
-  Tensor dx;
-  EXPECT_NO_THROW(dx = lin.backward(Tensor({0, 2})));
-  EXPECT_EQ(dx.numel(), 0);
+  Tape tape;
+  tape.reset();
+  Linear::TapeFrame f;
+  const Real dummy = 0.0;
+  lin.forwardTape(tape, f, &dummy, 0);
+  EXPECT_EQ(f.rows, 0);
+  EXPECT_NO_THROW(lin.backwardTape(tape, f, &dummy));
   for (Real v : lin.w.grad.data) EXPECT_EQ(v, 0.0);
-}
-
-// ---- shape-mismatch regression: inputs whose numel is not divisible by the
-// feature width used to be silently truncated to whole rows.
-
-TEST(ShapeCheck, LinearRejectsIndivisibleInput) {
-  Rng rng(29);
-  Linear lin(3, 2, rng, "t");
-  Tensor bad({2, 4});  // 8 % 3 != 0
-  EXPECT_THROW(lin.forward(bad, GradMode::kInference), std::invalid_argument);
-  // backward: dy not divisible by out, and dy rows != cached rows.
-  Tensor x({2, 3});
-  x.randn(rng, 1.0);
-  lin.forward(x, GradMode::kRecordTape);
-  Tensor badDy({1, 3});  // 3 % 2 != 0
-  EXPECT_THROW(lin.backward(badDy), std::invalid_argument);
-  Tensor wrongRows({3, 2});  // divisible but 3 rows vs 2 cached
-  EXPECT_THROW(lin.backward(wrongRows), std::invalid_argument);
-}
-
-TEST(ShapeCheck, LayerNormRejectsIndivisibleInput) {
-  LayerNorm ln(4, "t");
-  Tensor bad({2, 3});  // 6 % 4 != 0
-  EXPECT_THROW(ln.forward(bad, GradMode::kInference), std::invalid_argument);
-  Rng rng(30);
-  Tensor x({2, 4});
-  x.randn(rng, 1.0);
-  ln.forward(x, GradMode::kRecordTape);
-  Tensor badDy({3, 3});
-  EXPECT_THROW(ln.backward(badDy), std::invalid_argument);
+  for (Real v : lin.b.grad.data) EXPECT_EQ(v, 0.0);
 }
 
 TEST(AdamW, ConvergesOnQuadratic) {
@@ -300,31 +277,4 @@ TEST(NoamSchedule, WarmupShape) {
   EXPECT_GT(sched.lr(100), sched.lr(400));
   // Peak value = dModel^-0.5 * warmup^-0.5.
   EXPECT_NEAR(sched.lr(100), 0.25 / 10.0, 1e-12);
-}
-
-TEST(StaleCache, ErrorsNameTheModuleAndTheInvalidatingMode) {
-  // StaleTapeError messages must be actionable: they name the module that
-  // refused and the event that invalidated (or never produced) its
-  // recording, in the typed-error style of io/checkpoint.hpp.
-  Rng rng(27);
-  Linear lin(3, 2, rng, "enc.ff1");
-  Tensor x({2, 3}), dy({2, 2});
-  x.randn(rng, 1.0);
-  dy.randn(rng, 1.0);
-  auto expectError = [&](auto& mod, const char* name, const char* reason) {
-    try {
-      mod.backward(dy);
-      FAIL() << "expected StaleTapeError for " << name;
-    } catch (const StaleTapeError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(name), std::string::npos) << what;
-      EXPECT_NE(what.find(reason), std::string::npos) << what;
-    }
-  };
-  // Fresh module: nothing has been recorded yet.
-  expectError(lin, "enc.ff1", stale::kNeverRecorded);
-  // Recorded, then invalidated by an inference-mode forward.
-  lin.forward(x, GradMode::kRecordTape);
-  lin.forward(x, GradMode::kInference);
-  expectError(lin, "enc.ff1", stale::kInferenceForward);
 }
