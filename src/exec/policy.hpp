@@ -89,10 +89,10 @@ struct ExecutionPolicy {
   /// frontier descent (kKvCache sampling only; engine default
   /// BasSweepEngine::kDefaultTileRows).
   int sweepTileRows = 0;
-  /// Rows per tile of the teacher-forced evaluate sweep (inference
-  /// amplitudes, kKvCache decode only): bounds the decode KV arena
-  /// independent of the batch size (engine default
-  /// TransformerAR::kEvalTileRows).
+  /// Samples per tile of every inference evaluate: the teacher-forced
+  /// decode sweep (bounds the KV arena), the kFullForward reference's
+  /// scratch tape and the phase MLP's workspace, each independent of the
+  /// batch size (engine default TransformerAR::kEvalTileRows).
   int evalTileRows = 0;
   /// Samples per tile of the recompute-in-tiles gradient
   /// (QiankunNet::evaluateGrad): each tile re-runs the recording forward,

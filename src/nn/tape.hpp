@@ -50,7 +50,7 @@ inline constexpr const char* kExplicit =
 
 /// Caller-owned activation store, the one place activations are recorded:
 /// one bump-carve arena (nn::Workspace) holding a single tile's forward
-/// activations plus its backward scratch.  The tile loop resets the tape
+/// activations plus its live backward scratch.  The tile loop resets the tape
 /// between tiles, so peak training activation memory is the high-water mark
 /// of ONE tile — O(tile * L * d) — independent of the batch size, and a warm
 /// tile (same shapes as the last) carves without touching the heap.
@@ -70,8 +70,16 @@ class Tape {
   /// Pre-size the arena for `n` more Reals; only valid directly after
   /// reset(), like Workspace::reserve.
   void reserve(Index n) { ws_.reserve(n); }
-  /// Carve `n` uninitialized Reals, 64-byte aligned, valid until reset().
+  /// Carve `n` uninitialized Reals, 64-byte aligned, valid until reset()
+  /// or until the release() of a mark taken before the carve.
   Real* alloc(Index n) { return ws_.alloc(n); }
+  /// Scoped backward scratch: a backwardTape() that carves its result first
+  /// can mark, carve its temporaries and release them before it returns
+  /// (DecoderBlock does, once per half), so the tape holds the forward
+  /// record plus one block half's scratch rather than every layer's.
+  using Mark = Workspace::Mark;
+  [[nodiscard]] Mark mark() const { return ws_.mark(); }
+  void release(const Mark& m) { ws_.release(m); }
   /// Arena accounting: highWater is the peak Reals live in any one tile —
   /// the "peak activation memory" number BM_BackwardTiled reports.
   [[nodiscard]] const Workspace::Stats& stats() const { return ws_.stats(); }

@@ -93,15 +93,22 @@ void DecoderBlock::decodeStep(const Real* a, const Real* r, DecodeState& state,
 Real* DecoderBlock::backwardTape(Tape& tape, const TapeFrame& f,
                                  const Real* dy) {
   const Index n = f.rows * d_;
-  // dh = ln2'(ff1'(gelu'(ff2'(dy)))) + dy; dx = ln1'(attn'(dh)) + dh.
-  Real* t = ff2_.backwardTape(tape, f.ff2, dy);
+  // dh = ln2'(ff1'(gelu'(ff2'(dy)))) + dy; dx = ln1'(attn'(dh)) + dh.  Only
+  // dx and dh outlive their half: each half's scratch is released once the
+  // residual add has folded it in.
+  Real* dx = tape.alloc(n);
+  Real* dh = tape.alloc(n);
+  const Tape::Mark scratch = tape.mark();
+  const Real* t = ff2_.backwardTape(tape, f.ff2, dy);
   t = gelu_.backwardTape(tape, f.gelu, t);
   t = ff1_.backwardTape(tape, f.ff1, t);
-  Real* dh = ln2_.backwardTape(tape, f.ln2, t);
-  for (Index i = 0; i < n; ++i) dh[i] += dy[i];
-  Real* da = attn_.backwardTape(tape, f.attn, dh);
-  Real* dx = ln1_.backwardTape(tape, f.ln1, da);
-  for (Index i = 0; i < n; ++i) dx[i] += dh[i];
+  t = ln2_.backwardTape(tape, f.ln2, t);
+  for (Index i = 0; i < n; ++i) dh[i] = t[i] + dy[i];
+  tape.release(scratch);
+  const Real* da = attn_.backwardTape(tape, f.attn, dh);
+  t = ln1_.backwardTape(tape, f.ln1, da);
+  for (Index i = 0; i < n; ++i) dx[i] = t[i] + dh[i];
+  tape.release(scratch);
   return dx;
 }
 
@@ -239,11 +246,10 @@ void PhaseMlp::forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
 }
 
 Index PhaseMlp::workspaceReals(Index rows) const {
-  // One span per hidden layer (the output layer writes `out` directly), each
-  // rounded up to the Workspace's 8-Real alignment.
+  // The output layer writes `out` directly.
   Index n = 0;
   for (std::size_t l = 0; l + 1 < linear_.size(); ++l)
-    n += (rows * linear_[l].w.value.shape[0] + 7) / 8 * 8;
+    n += Workspace::spanReals(rows * linear_[l].w.value.shape[0]);
   return n;
 }
 

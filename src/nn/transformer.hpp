@@ -225,7 +225,8 @@ class PhaseMlp {
   /// concurrently from many worker threads.
   void forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
                    kernels::KernelPolicy policy) const;
-  /// Reals forwardInto carves from `ws` for `rows` rows, alignment included.
+  /// Reals forwardInto carves from `ws` for `rows` rows (one
+  /// Workspace::spanReals per hidden layer), for the caller's reserve().
   [[nodiscard]] Index workspaceReals(Index rows) const;
 
   /// Tape record: one frame per Linear and per TanhAct layer, caller-owned

@@ -5,16 +5,6 @@
 
 namespace nnqs::nn {
 
-namespace {
-/// Carve granularity: whole 64-byte cache lines, so every span is aligned for
-/// the SIMD kernels and false sharing between spans is impossible.
-constexpr std::size_t kAlignReals = 8;
-
-std::size_t alignUp(std::size_t n) {
-  return (n + kAlignReals - 1) & ~(kAlignReals - 1);
-}
-}  // namespace
-
 void Workspace::reset() {
   stats_.highWater = std::max(stats_.highWater, cycle_);
   // Coalesce: if the last cycle overflowed (or reserve history outgrew the
@@ -34,7 +24,7 @@ void Workspace::reset() {
 void Workspace::reserve(Index n) {
   assert(used_ == 0 && cycle_ == 0 && overflow_.empty() &&
          "Workspace::reserve: only valid directly after reset()");
-  const auto need = alignUp(static_cast<std::size_t>(n));
+  const auto need = static_cast<std::size_t>(spanReals(n));
   if (block_.size() < need) {
     block_.assignZero(need);
     ++stats_.grows;
@@ -44,7 +34,7 @@ void Workspace::reserve(Index n) {
 
 Real* Workspace::alloc(Index n) {
   assert(n >= 0);
-  const std::size_t need = alignUp(static_cast<std::size_t>(n));
+  const auto need = static_cast<std::size_t>(spanReals(n));
   cycle_ += need;
   if (used_ + need <= block_.size()) {
     Real* p = block_.data() + used_;
@@ -65,6 +55,17 @@ Real* Workspace::alloc(Index n) {
   Real* p = overflow_.back().data() + overflowUsed_;
   overflowUsed_ += need;
   return p;
+}
+
+void Workspace::release(const Mark& m) {
+  assert(m.cycle <= cycle_ && m.overflowChunks <= overflow_.size() &&
+         "Workspace::release: mark from another cycle");
+  stats_.highWater = std::max(stats_.highWater, cycle_);
+  // Side chunks opened after the mark hold only released spans.
+  overflow_.resize(m.overflowChunks);
+  overflowUsed_ = m.overflowUsed;
+  used_ = m.used;
+  cycle_ = m.cycle;
 }
 
 }  // namespace nnqs::nn

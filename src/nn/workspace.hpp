@@ -35,6 +35,24 @@ class Workspace {
   /// Carve `n` uninitialized Reals, 64-byte aligned.
   Real* alloc(Index n);
 
+  /// Reals one alloc(n) takes from the block, alignment included: sum it
+  /// over a known sequence of carves to reserve() exactly for them.
+  static Index spanReals(Index n) {
+    return (n + kAlignReals - 1) / kAlignReals * kAlignReals;
+  }
+
+  /// A point in the current carve cycle.  release(m) ends every span carved
+  /// after mark() returned m (LIFO scratch inside one cycle); spans carved
+  /// before it stay live, and the cycle's peak still counts toward
+  /// stats().highWater.
+  struct Mark {
+    std::size_t used = 0, overflowUsed = 0, cycle = 0, overflowChunks = 0;
+  };
+  [[nodiscard]] Mark mark() const {
+    return {used_, overflowUsed_, cycle_, overflow_.size()};
+  }
+  void release(const Mark& m);
+
   struct Stats {
     std::size_t capacity = 0;   ///< primary block size (Reals)
     std::size_t highWater = 0;  ///< max Reals carved in any cycle
@@ -44,6 +62,10 @@ class Workspace {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
+  /// Carve granularity: whole 64-byte cache lines, so every span is aligned
+  /// for the SIMD kernels and false sharing between spans is impossible.
+  static constexpr Index kAlignReals = 8;
+
   kernels::HugeBuffer block_;
   std::vector<kernels::HugeBuffer> overflow_;
   std::size_t used_ = 0;          ///< carved from block_

@@ -24,6 +24,24 @@ void maskedSoftmax4(const Real* lg, const std::array<bool, 4>& mask, Real* out) 
   }
   for (int t = 0; t < 4; ++t) out[t] /= denom;
 }
+
+/// The one place a tile field's 0 becomes the engine default.
+Index tileOrDefault(Index rows) {
+  return rows > 0 ? rows : nn::TransformerAR::kEvalTileRows;
+}
+
+/// The full-forward reference's tile loop: body(tape, frame, t0, tb) runs
+/// one tile on a scratch tape (never the net's gradient tape) reset per
+/// tile, so a call holds one tile's activations whatever the batch.
+template <typename Body>
+void scratchTapeTiles(Index batch, Index tile, Body&& body) {
+  nn::Tape tape;
+  nn::TransformerAR::TapeFrame frame;
+  for (Index t0 = 0; t0 < batch; t0 += tile) {
+    tape.reset();
+    body(tape, frame, t0, std::min(tile, batch - t0));
+  }
+}
 }  // namespace
 
 QiankunNet::QiankunNet(const QiankunNetConfig& cfg)
@@ -58,15 +76,12 @@ std::vector<Real> QiankunNet::conditionals(const std::vector<int>& prefixTokens,
       tokens[static_cast<std::size_t>(b * window + 1 + j)] =
           prefixTokens[static_cast<std::size_t>(b * s + j)];
   }
-  // Full forward on a scratch tape (never gradTape_), one tile of prefixes
-  // at a time; take each prefix's last position, mask, softmax.
-  nn::Tape tape;
-  nn::TransformerAR::TapeFrame frame;
-  const Index tile = evalTileRows_ > 0 ? evalTileRows_ : nn::TransformerAR::kEvalTileRows;
+  // Full forward, one tile of prefixes at a time; take each prefix's last
+  // position, mask, softmax.
   std::vector<Real> probs(static_cast<std::size_t>(batch) * 4);
-  for (Index t0 = 0; t0 < batch; t0 += tile) {
-    const Index tb = std::min<Index>(tile, batch - t0);
-    tape.reset();
+  scratchTapeTiles(batch, evalTileRows_, [&](nn::Tape& tape,
+                                             nn::TransformerAR::TapeFrame& frame,
+                                             Index t0, Index tb) {
     const Real* logits = amplitude_.forwardTape(
         tape, frame, tokens.data() + t0 * window, tb * window, window);
     for (Index b = 0; b < tb; ++b) {
@@ -74,7 +89,7 @@ std::vector<Real> QiankunNet::conditionals(const std::vector<int>& prefixTokens,
       maskedSoftmax4(logits + (b * window + s) * 4, outcomeMask(s, c[0], c[1]),
                      probs.data() + (t0 + b) * 4);
     }
-  }
+  });
   return probs;
 }
 
@@ -215,8 +230,8 @@ void QiankunNet::setEvalPolicy(const exec::ExecutionPolicy& exec) {
         "(0 = default)");
   evalPolicy_ = exec.decode;
   evalKernel_ = exec.kernel;
-  evalTileRows_ = exec.evalTileRows;
-  gradTileRows_ = exec.gradTileRows;
+  evalTileRows_ = tileOrDefault(exec.evalTileRows);
+  gradTileRows_ = tileOrDefault(exec.gradTileRows);
 }
 
 void QiankunNet::evaluate(const std::vector<Bits128>& samples,
@@ -235,18 +250,15 @@ void QiankunNet::evaluate(const std::vector<Bits128>& samples,
     recordedBatch_ = static_cast<long>(batch);
     return;
   }
-  // Inference never touches gradTape_: the full-forward reference runs on a
-  // scratch tape, tile by tile.
+  // Inference never touches gradTape_.
   if (evalPolicy_ == DecodePolicy::kFullForward) {
-    nn::Tape tape;
-    nn::TransformerAR::TapeFrame frame;
-    const Index tile = evalTileRows_ > 0 ? evalTileRows_ : nn::TransformerAR::kEvalTileRows;
     logAmp.resize(samples.size());
-    for (Index t0 = 0; t0 < batch; t0 += tile) {
-      tape.reset();
-      amplitudeTile(tape, frame, evalSlot_.tokens, samples.data() + t0,
-                    std::min(tile, batch - t0), logAmp.data() + t0);
-    }
+    scratchTapeTiles(batch, evalTileRows_, [&](nn::Tape& tape,
+                                               nn::TransformerAR::TapeFrame& frame,
+                                               Index t0, Index tb) {
+      amplitudeTile(tape, frame, evalSlot_.tokens, samples.data() + t0, tb,
+                    logAmp.data() + t0);
+    });
   } else {
     decodeLogAmp(evalSlot_, samples, logAmp, evalKernel_, evalTileRows_);
   }
@@ -260,18 +272,23 @@ void QiankunNet::phases(const std::vector<Bits128>& samples,
 
 void QiankunNet::phaseInto(EvalSlot& slot, const std::vector<Bits128>& samples,
                            std::vector<Real>& phase,
-                           nn::kernels::KernelPolicy kernel, Index tileRows) const {
+                           nn::kernels::KernelPolicy kernel, Index tile) const {
   // Tile by tile, so the workspace holds one tile's activations whatever
   // the batch (rows are independent, so the bits do not depend on the
-  // tiling).  Sizing the workspace for a full tile up front makes it grow
-  // once per slot instead of at every new high-water batch.
+  // tiling).  The reserve covers this call's largest tile but at least one
+  // default tile, so a serving slot fed growing batches grows its block once
+  // rather than at every new size; it never exceeds `tile` nor, past the
+  // default tile, the batch.
   const Index batch = static_cast<Index>(samples.size());
-  const Index tile = tileRows > 0 ? tileRows : nn::TransformerAR::kEvalTileRows;
+  const Index rows =
+      std::min(tile, std::max(batch, nn::TransformerAR::kEvalTileRows));
+  const Index need =
+      nn::Workspace::spanReals(rows * cfg_.nQubits) + phase_.workspaceReals(rows);
   phase.resize(samples.size());
   for (Index t0 = 0; t0 < batch; t0 += tile) {
     const Index tb = std::min(tile, batch - t0);
     slot.phaseWs.reset();
-    slot.phaseWs.reserve(tile * cfg_.nQubits + 8 + phase_.workspaceReals(tile));
+    slot.phaseWs.reserve(need);
     Real* xin = slot.phaseWs.alloc(tb * cfg_.nQubits);
     encodeSpins(samples.data() + t0, tb, xin);
     phase_.forwardInto(slot.phaseWs, xin, tb, phase.data() + t0, kernel);
@@ -366,8 +383,7 @@ void QiankunNet::evaluateGrad(const std::vector<Bits128>& samples,
   invalidateEvaluate(nn::stale::kTapeForward);
 
   const Index batch = static_cast<Index>(samples.size());
-  const Index tile =
-      gradTileRows_ > 0 ? gradTileRows_ : nn::TransformerAR::kEvalTileRows;
+  const Index tile = gradTileRows_;
 
   // Tiles run SEQUENTIALLY in ascending order: every per-parameter
   // accumulation is a strictly sequential ascending-row fold that the tile
@@ -392,8 +408,9 @@ void QiankunNet::evaluateInto(EvalSlot& slot, const std::vector<Bits128>& sample
                               std::vector<Real>& logAmp, std::vector<Real>& phase,
                               nn::kernels::KernelPolicy kernel,
                               Index tileRows) const {
-  decodeLogAmp(slot, samples, logAmp, kernel, tileRows);
-  phaseInto(slot, samples, phase, kernel, tileRows);
+  const Index tile = tileOrDefault(tileRows);
+  decodeLogAmp(slot, samples, logAmp, kernel, tile);
+  phaseInto(slot, samples, phase, kernel, tile);
 }
 
 std::vector<nn::Parameter*> QiankunNet::parameters() {

@@ -276,12 +276,12 @@ class QiankunNet {
                     std::vector<Real>& logAmp, nn::kernels::KernelPolicy kernel,
                     Index tileRows) const;
 
-  /// Phase-MLP inference on `slot`'s workspace in tileRows-sample tiles
-  /// (0 = TransformerAR::kEvalTileRows): the phase half of evaluateInto(),
-  /// and of evaluate()/phases() on evalSlot_.
+  /// Phase-MLP inference on `slot`'s workspace in `tile`-sample tiles
+  /// (tile > 0): the phase half of evaluateInto(), and of
+  /// evaluate()/phases() on evalSlot_.
   void phaseInto(EvalSlot& slot, const std::vector<Bits128>& samples,
                  std::vector<Real>& phase, nn::kernels::KernelPolicy kernel,
-                 Index tileRows) const;
+                 Index tile) const;
 
   /// d ln|Psi| / d logits for one (sample, position): dl[4] must arrive
   /// zeroed; pr[4] are that position's masked conditionals.
@@ -306,8 +306,9 @@ class QiankunNet {
   // Inference-engine selection of evaluate()/psi() (setEvalPolicy).
   DecodePolicy evalPolicy_ = DecodePolicy::kKvCache;
   nn::kernels::KernelPolicy evalKernel_ = nn::kernels::KernelPolicy::kAuto;
-  Index evalTileRows_ = 0;  ///< 0 = default tile
-  Index gradTileRows_ = 0;  ///< 0 = default tile
+  // Tile sizes in rows, the defaults already resolved by setEvalPolicy.
+  Index evalTileRows_ = nn::TransformerAR::kEvalTileRows;
+  Index gradTileRows_ = nn::TransformerAR::kEvalTileRows;
   // Gradient scratch (evaluateGrad, evaluate(kRecordTape) + backward()):
   // the per-tile activation tape, the tile's marshalled tokens, and the
   // caller-owned module frames.  All reuse their capacity, so a warm

@@ -313,6 +313,36 @@ TEST(Workspace, ReserveAvoidsOverflowChunks) {
   EXPECT_GE(ws.stats().capacity, std::size_t{4096});
 }
 
+TEST(Workspace, ReleaseEndsLaterSpansAndKeepsEarlierOnes) {
+  Workspace ws;
+  ws.reset();
+  ws.reserve(4096);
+  Real* a = ws.alloc(64);
+  for (Index i = 0; i < 64; ++i) a[i] = static_cast<Real>(i);
+  const Workspace::Mark m = ws.mark();
+  Real* b = ws.alloc(1000);
+  Real* c = ws.alloc(1 << 14);  // overflows into a side chunk
+  EXPECT_GE(ws.stats().overflows, 1);
+  b[0] = c[0] = -1.0;
+  ws.release(m);
+  // The released primary-block span is carved again; `a` is untouched.
+  EXPECT_EQ(ws.alloc(1000), b);
+  for (Index i = 0; i < 64; ++i)
+    ASSERT_EQ(a[i], static_cast<Real>(i)) << "release clobbered a live span";
+  // The released peak still counts: the next reset sizes the block for it,
+  // so the same cycle replays without a side chunk.
+  ws.reset();
+  EXPECT_GE(ws.stats().highWater, std::size_t{64 + 1000 + (1 << 14)});
+  const auto overflows = ws.stats().overflows;
+  ws.alloc(64);
+  const Workspace::Mark m2 = ws.mark();
+  ws.alloc(1000);
+  ws.alloc(1 << 14);
+  ws.release(m2);
+  ws.alloc(1000);
+  EXPECT_EQ(ws.stats().overflows, overflows);
+}
+
 TEST(Tensor, UninitHasShapeButNoFillGuarantee) {
   // The uninit path must size the buffer exactly like the zeroing constructor.
   const Tensor z({3, 4});

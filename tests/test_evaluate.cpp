@@ -110,6 +110,36 @@ TEST(Evaluate, DecodeMatchesFullForwardBitIdentical) {
   }
 }
 
+TEST(Evaluate, TileLargerThanAnyBatchIsTheUntiledSweep) {
+  // evalTileRows = 1 << 30 is the documented "untiled" spelling: every
+  // inference entry point must treat it as one tile the size of the batch
+  // (no memory sized to the tile) and return the default tile's bits.
+  const int n = 12, na = 3, nb = 2;
+  QiankunNet net(smallConfig(n, na, nb));
+  const auto samples = numberSector(n, na, nb);
+  ASSERT_GT(static_cast<Index>(samples.size()), nn::TransformerAR::kEvalTileRows);
+  for (auto decode : {DecodePolicy::kFullForward, DecodePolicy::kKvCache}) {
+    net.setEvalPolicy(execFor(decode));
+    std::vector<Real> laRef, phRef, phOnlyRef;
+    net.evaluate(samples, laRef, phRef, nn::GradMode::kInference);
+    net.phases(samples, phOnlyRef);
+    net.setEvalPolicy(execFor(decode, nn::kernels::KernelPolicy::kAuto, 1 << 30));
+    std::vector<Real> la, ph, phOnly;
+    net.evaluate(samples, la, ph, nn::GradMode::kInference);
+    net.phases(samples, phOnly);
+    EXPECT_EQ(la, laRef);
+    EXPECT_EQ(ph, phRef);
+    EXPECT_EQ(phOnly, phOnlyRef);
+  }
+  QiankunNet::EvalSlot slot;
+  std::vector<Real> laRef, phRef, la, ph;
+  net.evaluateInto(slot, samples, laRef, phRef);
+  net.evaluateInto(slot, samples, la, ph, nn::kernels::KernelPolicy::kSimd,
+                   Index{1} << 30);
+  EXPECT_EQ(la, laRef);
+  EXPECT_EQ(ph, phRef);
+}
+
 TEST(Evaluate, TransformerEvaluateDecodeMatchesForwardLogits) {
   // TransformerAR level: the teacher-forced sweep's per-position logits are
   // bit-identical to the corresponding positions of forwardTape(), including
