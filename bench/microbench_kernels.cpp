@@ -359,7 +359,10 @@ BENCHMARK(BM_LinearGemm)
     ->Args({-1, 256, 64, 64})->Args({1, 256, 64, 64})
     ->Args({-1, 256, 64, 256})->Args({1, 256, 64, 256})
     ->Args({-1, 256, 256, 64})->Args({1, 256, 256, 64})
-    ->Args({-1, 4096, 64, 192})->Args({1, 4096, 64, 192})->Args({2, 4096, 64, 192});
+    ->Args({-1, 4096, 64, 192})->Args({1, 4096, 64, 192})->Args({2, 4096, 64, 192})
+    // The 512-wide phase MLP's two hidden layers at a 256-row tile (38 qubits
+    // in, C2H4O): the largest GEMMs of one VMC iteration at the paper shape.
+    ->Args({1, 256, 38, 512})->Args({1, 256, 512, 512});
 
 // Training-side GEMM: the dW += dY^T X accumulation (transA, accumulate),
 // which used to be a serial loop in Linear::backward.
@@ -632,7 +635,7 @@ BENCHMARK(BM_BackwardTiled)
 void BM_Elementwise(benchmark::State& state) {
   const std::int64_t op = state.range(0);
   const std::int64_t impl = state.range(1);
-  const Index rows = 256, dim = op == 0 ? 256 : 64;
+  const Index rows = 256, dim = op == 0 ? 256 : (op == 1 ? 64 : 512);
   const auto n = static_cast<std::size_t>(rows * dim);
   Rng rng(31);
   std::vector<Real> x(n), res(n), y(n), h(n);
@@ -642,7 +645,13 @@ void BM_Elementwise(benchmark::State& state) {
   for (auto& v : res) v = rng.normal();
 
   if (impl < 0) {
-    if (op == 0) {
+    if (op == 2) {
+      // Historical TanhAct / PhaseMlp::forwardInto body.
+      for (auto _ : state) {
+        for (std::size_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
+        benchmark::DoNotOptimize(y.data());
+      }
+    } else if (op == 0) {
       // Historical Gelu::forward body.
       for (auto _ : state) {
         for (std::size_t i = 0; i < n; ++i) {
@@ -673,10 +682,15 @@ void BM_Elementwise(benchmark::State& state) {
         benchmark::DoNotOptimize(y.data());
       }
     }
-    state.SetLabel(op == 0 ? "gelu/naive" : "rln/naive");
+    state.SetLabel(op == 0 ? "gelu/naive" : (op == 1 ? "rln/naive" : "tanh/std"));
   } else {
     const auto policy = kernelArg(impl);
-    if (op == 0) {
+    if (op == 2) {
+      for (auto _ : state) {
+        nn::kernels::tanh(x.data(), y.data(), rows * dim, policy);
+        benchmark::DoNotOptimize(y.data());
+      }
+    } else if (op == 0) {
       for (auto _ : state) {
         nn::kernels::gelu(x.data(), y.data(), rows * dim, policy);
         benchmark::DoNotOptimize(y.data());
@@ -696,16 +710,19 @@ void BM_Elementwise(benchmark::State& state) {
         benchmark::DoNotOptimize(y.data());
       }
     }
-    state.SetLabel(std::string(op == 0 ? "gelu/" : "rln/") +
+    state.SetLabel(std::string(op == 0 ? "gelu/" : (op == 1 ? "rln/" : "tanh/")) +
                    nn::kernels::kernelPolicyName(policy));
   }
   state.SetItemsProcessed(state.iterations() * rows * dim);
 }
-// Args: op (0 = GELU [256, 256], 1 = fused residual+LayerNorm [256, 64]),
-// impl (-1 = historical loops, 0 = scalar reference, 1 = SIMD, 2 = threaded).
+// Args: op (0 = GELU [256, 256], 1 = fused residual+LayerNorm [256, 64],
+// 2 = tanh [256, 512], the phase MLP's hidden activation), impl (-1 =
+// historical loops, std::tanh for op 2; 0 = scalar reference, 1 = SIMD,
+// 2 = threaded).
 BENCHMARK(BM_Elementwise)
     ->Args({0, -1})->Args({0, 0})->Args({0, 1})->Args({0, 2})
-    ->Args({1, -1})->Args({1, 0})->Args({1, 1})->Args({1, 2});
+    ->Args({1, -1})->Args({1, 0})->Args({1, 1})->Args({1, 2})
+    ->Args({2, -1})->Args({2, 0})->Args({2, 1})->Args({2, 2});
 
 void BM_LocalEnergySample(benchmark::State& state) {
   const auto& p = c2Pipeline();

@@ -66,6 +66,7 @@ void HugeBuffer::assignZero(std::size_t count) {
   std::free(p_);
   p_ = nullptr;
   n_ = 0;
+  cap_ = 0;
   if (count == 0) return;
   constexpr std::size_t kHuge = std::size_t{2} << 20;
   const std::size_t bytes = (count * sizeof(Real) + kHuge - 1) & ~(kHuge - 1);
@@ -74,6 +75,7 @@ void HugeBuffer::assignZero(std::size_t count) {
   adviseHugePages(p_, bytes);  // before the memset faults the pages in
   std::memset(p_, 0, bytes);
   n_ = count;
+  cap_ = bytes / sizeof(Real);
 }
 
 KernelPolicy resolvePolicy(KernelPolicy policy, Index batch, Index heads) {

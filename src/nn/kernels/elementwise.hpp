@@ -6,12 +6,13 @@
 
 namespace nnqs::nn::kernels {
 
-/// The elementwise kernel family behind the decode step's non-GEMM stages:
-/// vectorized GELU (forward + backward) and a fused residual + LayerNorm row
-/// kernel (forward + backward).  Third member of the kernel-backend set after
-/// decode attention (attn_row.hpp) and GEMM (gemm.hpp), under the same
-/// arithmetic contract style: every output element is produced by one fixed
-/// IEEE-754 operation sequence (defined by the scalar reference in
+/// The elementwise kernel family behind the network's non-GEMM stages:
+/// vectorized GELU (forward + backward), tanh (the phase MLP's activation)
+/// and a fused residual + LayerNorm row kernel (forward + backward).  Third
+/// member of the kernel-backend set after decode attention (attn_row.hpp)
+/// and GEMM (gemm.hpp), under the same arithmetic contract style: every
+/// output element is produced by one fixed IEEE-754 operation sequence
+/// (defined by the scalar reference in
 /// elementwise_scalar.cpp, FP contraction off), and the AVX2/AVX-512 backends
 /// vectorize only across *independent* outputs — elements for GELU, feature
 /// lanes for the LayerNorm passes — while row reductions use the 8 strided
@@ -21,13 +22,15 @@ namespace nnqs::nn::kernels {
 ///
 /// Both the full-forward modules (Gelu / LayerNorm in modules.cpp) and the
 /// incremental decode path run on these kernels, so the two inference paths
-/// keep drawing bit-identical samples.
+/// keep drawing bit-identical samples; the phase MLP's TanhAct::forwardTape
+/// and PhaseMlp::forwardInto share kernels::tanh the same way.
 
-/// tanh for the GELU kernels: branch-free on top of the shared softmaxExp
-/// machinery.  tanh(u) = sign(u) * (1 - e) / (1 + e) with e =
+/// tanh for the GELU and tanh kernels: branch-free on top of the shared
+/// softmaxExp machinery.  tanh(u) = sign(u) * (1 - e) / (1 + e) with e =
 /// softmaxExp(-2|u|) — the argument is always <= 0, exactly softmaxExp's
 /// softmax-weight domain, so the kernel exp's ~1 ulp accuracy carries over
-/// (a few ulp for the quotient).  The SIMD backends evaluate this exact
+/// to a few ulp of the quotient away from 0 (see tanh() below for the
+/// measured bounds).  The SIMD backends evaluate this exact
 /// operation sequence per lane (division is correctly rounded, copysign is a
 /// bit operation), so vector and scalar results are identical.
 inline Real kernelTanh(Real u) {
@@ -74,6 +77,14 @@ void gelu(const Real* x, Real* y, Index n,
 /// dx = dy * gelu'(x), elementwise.  dy == dx (in-place) is allowed.
 void geluBackward(const Real* x, const Real* dy, Real* dx, Index n,
                   KernelPolicy policy = KernelPolicy::kAuto);
+
+/// y = kernelTanh(x), elementwise over n values.  x == y (in-place) is
+/// allowed.  Measured against std::tanh: at most 2 ulp for |x| >= 1 and 10
+/// ulp for |x| >= 1/8; below that the (1 - e) cancellation makes the error
+/// relative to tanh(x) grow like 1/|x| (the output is exactly 0 below about
+/// 1e-16), while the absolute error stays under 1.5 * 2^-52 everywhere.
+void tanh(const Real* x, Real* y, Index n,
+          KernelPolicy policy = KernelPolicy::kAuto);
 
 /// One fused residual + LayerNorm problem over `rows` independent rows of
 /// width `dim`:

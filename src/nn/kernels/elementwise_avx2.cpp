@@ -5,9 +5,9 @@
 // compiles this file to just the nullptr fallback).
 //
 // Bit-identity with the scalar reference (contract in elementwise.hpp):
-//   - GELU: lanes are 4 independent elements; tanh4() is kernelTanh()'s exact
-//     sequence per lane (exp4 = softmaxExp per lane, one correctly-rounded
-//     division, copysign as bit ops);
+//   - GELU and tanh: lanes are 4 independent elements; tanh4() is
+//     kernelTanh()'s exact sequence per lane (exp4 = softmaxExp per lane,
+//     one correctly-rounded division, copysign as bit ops);
 //   - LayerNorm rows: lanes are 4 independent feature columns for the
 //     elementwise passes; the mean/variance reductions accumulate the
 //     contract's 8 strided partials as two 4-lane accumulators combined by
@@ -84,6 +84,12 @@ void geluBackwardAvx2(const Real* x, const Real* dy, Real* dx, Index n) {
     _mm256_storeu_pd(dx + i, _mm256_mul_pd(_mm256_loadu_pd(dy + i),
                                            geluGrad4(_mm256_loadu_pd(x + i))));
   for (; i < n; ++i) dx[i] = dy[i] * geluGradScalar(x[i]);
+}
+
+void tanhForwardAvx2(const Real* x, Real* y, Index n) {
+  Index i = 0;
+  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(y + i, tanh4(_mm256_loadu_pd(x + i)));
+  for (; i < n; ++i) y[i] = kernelTanh(x[i]);
 }
 
 void lnRowForwardAvx2(const ResidualLnArgs& a, Index r) {
@@ -230,8 +236,8 @@ void lnParamGradsAvx2(const LayerNormBwdArgs& a) {
 }
 
 constexpr EwBackend kAvx2Backend{&geluForwardAvx2, &geluBackwardAvx2,
-                                 &lnRowForwardAvx2, &lnRowBackwardAvx2,
-                                 &lnParamGradsAvx2};
+                                 &tanhForwardAvx2, &lnRowForwardAvx2,
+                                 &lnRowBackwardAvx2, &lnParamGradsAvx2};
 
 }  // namespace
 

@@ -1,10 +1,10 @@
 // AVX-512 elementwise backend.  Same arithmetic contract as the scalar
 // reference and the AVX2 backend (elementwise.hpp): lanes are independent
-// outputs only, FP contraction is off, tanh8() is kernelTanh() per lane, and
-// the LayerNorm reductions' 8 strided partials are exactly one 8-lane
-// accumulator — so the output is bit-identical.  The wider registers halve
-// the instruction count of the [B, 4d] GELU sweep, the decode step's largest
-// remaining elementwise stage.
+// outputs only, FP contraction is off, tanh8() is kernelTanh() per lane (the
+// GELU and the tanh sweeps), and the LayerNorm reductions' 8 strided
+// partials are exactly one 8-lane accumulator — so the output is
+// bit-identical.  The wider registers halve the instruction count of the
+// [B, 4d] GELU sweep, the decode step's largest remaining elementwise stage.
 
 #include "nn/kernels/elementwise_impl.hpp"
 
@@ -72,6 +72,12 @@ void geluBackwardAvx512(const Real* x, const Real* dy, Real* dx, Index n) {
     _mm512_storeu_pd(dx + i, _mm512_mul_pd(_mm512_loadu_pd(dy + i),
                                            geluGrad8(_mm512_loadu_pd(x + i))));
   for (; i < n; ++i) dx[i] = dy[i] * geluGradScalar(x[i]);
+}
+
+void tanhForwardAvx512(const Real* x, Real* y, Index n) {
+  Index i = 0;
+  for (; i + 8 <= n; i += 8) _mm512_storeu_pd(y + i, tanh8(_mm512_loadu_pd(x + i)));
+  for (; i < n; ++i) y[i] = kernelTanh(x[i]);
 }
 
 void lnRowForwardAvx512(const ResidualLnArgs& a, Index r) {
@@ -199,8 +205,8 @@ void lnParamGradsAvx512(const LayerNormBwdArgs& a) {
 }
 
 constexpr EwBackend kAvx512Backend{&geluForwardAvx512, &geluBackwardAvx512,
-                                   &lnRowForwardAvx512, &lnRowBackwardAvx512,
-                                   &lnParamGradsAvx512};
+                                   &tanhForwardAvx512, &lnRowForwardAvx512,
+                                   &lnRowBackwardAvx512, &lnParamGradsAvx512};
 
 }  // namespace
 

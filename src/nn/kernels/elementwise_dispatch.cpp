@@ -1,8 +1,8 @@
 // Elementwise-kernel policy resolution and the serial / OpenMP-threaded
-// drivers: disjoint element chunks for the GELU sweeps, disjoint rows for the
-// fused residual + LayerNorm kernels.  Chunk and row boundaries cannot
-// perturb results (every output element's operation sequence is local to its
-// chunk/row), so the threaded backend is trivially bit-identical.
+// drivers: disjoint element chunks for the GELU and tanh sweeps, disjoint
+// rows for the fused residual + LayerNorm kernels.  Chunk and row boundaries
+// cannot perturb results (every output element's operation sequence is local
+// to its chunk/row), so the threaded backend is trivially bit-identical.
 
 #include <algorithm>
 #include <cassert>
@@ -18,8 +18,8 @@ namespace {
 /// threshold than the GEMM one).
 constexpr Index kEwThreadWork = Index{1} << 14;
 
-/// Element chunk of the threaded GELU driver: big enough to amortize the
-/// loop, small enough to load-balance ragged sizes.
+/// Element chunk of the threaded GELU/tanh driver: big enough to amortize
+/// the loop, small enough to load-balance ragged sizes.
 constexpr Index kEwChunk = Index{1} << 12;
 
 const detail::EwBackend* pickBackend(KernelPolicy policy) {
@@ -67,6 +67,14 @@ void geluBackward(const Real* x, const Real* dy, Real* dx, Index n,
   runChunked(policy, n, [&](Index off, Index len) {
     be->geluBackward(x + off, dy + off, dx + off, len);
   });
+}
+
+void tanh(const Real* x, Real* y, Index n, KernelPolicy policy) {
+  if (n <= 0) return;
+  policy = resolveElementwisePolicy(policy, n);
+  const detail::EwBackend* be = pickBackend(policy);
+  runChunked(policy, n,
+             [&](Index off, Index len) { be->tanhForward(x + off, y + off, len); });
 }
 
 void residualLayerNorm(const ResidualLnArgs& a, KernelPolicy policy) {

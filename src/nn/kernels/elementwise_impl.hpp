@@ -20,6 +20,7 @@ namespace nnqs::nn::kernels::detail {
 struct EwBackend {
   void (*geluForward)(const Real* x, Real* y, Index n);
   void (*geluBackward)(const Real* x, const Real* dy, Real* dx, Index n);
+  void (*tanhForward)(const Real* x, Real* y, Index n);
   void (*lnRowForward)(const ResidualLnArgs& a, Index r);
   void (*lnRowBackward)(const LayerNormBwdArgs& a, Index r);
   void (*lnParamGrads)(const LayerNormBwdArgs& a);

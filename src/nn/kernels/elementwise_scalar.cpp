@@ -1,7 +1,8 @@
 // Scalar reference elementwise backend.  Built with the project's portable
 // flags (no SIMD, FP contraction off), so it is the ground truth the
 // vectorized backends are tested bit-for-bit against.  The per-element GELU
-// sequences live in elementwise.hpp (geluScalar / geluGradScalar); the row
+// and tanh sequences live in elementwise.hpp (geluScalar / geluGradScalar /
+// kernelTanh); the row
 // kernels here define the LayerNorm contract's pass structure.
 
 #include "nn/kernels/elementwise_impl.hpp"
@@ -16,6 +17,10 @@ void geluForwardScalar(const Real* x, Real* y, Index n) {
 
 void geluBackwardScalar(const Real* x, const Real* dy, Real* dx, Index n) {
   for (Index i = 0; i < n; ++i) dx[i] = dy[i] * geluGradScalar(x[i]);
+}
+
+void tanhForwardScalar(const Real* x, Real* y, Index n) {
+  for (Index i = 0; i < n; ++i) y[i] = kernelTanh(x[i]);
 }
 
 void lnRowForwardScalar(const ResidualLnArgs& a, Index r) {
@@ -96,8 +101,8 @@ void lnParamGradsScalar(const LayerNormBwdArgs& a) {
 }
 
 constexpr EwBackend kScalarBackend{&geluForwardScalar, &geluBackwardScalar,
-                                   &lnRowForwardScalar, &lnRowBackwardScalar,
-                                   &lnParamGradsScalar};
+                                   &tanhForwardScalar, &lnRowForwardScalar,
+                                   &lnRowBackwardScalar, &lnParamGradsScalar};
 
 }  // namespace
 

@@ -22,16 +22,23 @@ namespace nnqs::nn::kernels {
 ///   linalg::matmulTN  C = A^T B           (transA)
 ///
 /// The arithmetic contract (the GEMM extension of the decode-attention
-/// contract in attn_row.hpp): every output element is one IEEE-754 sum in a
-/// fixed sequential k-order starting from init_ij, with FP contraction off.
-/// Backends may vectorize and block only across *independent* output
-/// elements — lanes are distinct output columns j, register blocks are
-/// distinct output rows i, and the k-loop per accumulator stays sequential —
-/// so every KernelPolicy backend produces exactly the naive loop's bits.
-/// k-strip blocking is allowed: flushing a register accumulator to C and
-/// resuming from the stored value is exact, so strips preserve the per-element
-/// operation sequence.  Packed B panels are pure copies (zero-padded lanes
-/// are never stored), so packing cannot perturb results either.
+/// contract in attn_row.hpp): every output element is one fused chain in a
+/// fixed ascending k-order starting from init_ij,
+///
+///   c = init_ij;  for l = 0 .. k-1:  c = fma(A[i,l], B[l,j], c)
+///
+/// with one IEEE-754 rounding per step (std::fma in the scalar code, vfmadd
+/// in the SIMD kernels; both are correctly rounded, so they agree bit for
+/// bit).  FP contraction stays off in every contract file: the FMAs are
+/// explicit, and no compiler may fuse anything else.  Backends may vectorize
+/// and block only across *independent* output elements — lanes are distinct
+/// output columns j, register blocks are distinct output rows i, and the
+/// k-loop per accumulator stays sequential — so every KernelPolicy backend
+/// produces exactly the naive loop's bits.  k-strip blocking is allowed:
+/// flushing a register accumulator to C and resuming from the stored value
+/// is exact, so strips preserve the per-element operation sequence.  Packed
+/// B panels are pure copies (zero-padded lanes are never stored), so packing
+/// cannot perturb results either.
 struct GemmArgs {
   Index m = 0, n = 0, k = 0;
   const Real* a = nullptr;

@@ -1,21 +1,22 @@
 // AVX2 register-blocked GEMM micro-kernel.
 //
-// Built with -mavx2 -ffp-contract=off; nothing here executes unless the cpuid
-// probe in avx2GemmMicro() reports AVX2 support (NNQS_ENABLE_AVX2 off
-// compiles this file to just the nullptr fallback).
+// Built with -mavx2 -mfma -ffp-contract=off; nothing here executes unless the
+// cpuid probe in avx2GemmMicro() reports both AVX2 and FMA support
+// (NNQS_ENABLE_AVX2 off compiles this file to just the nullptr fallback).
 //
 // Bit-identity with the naive reference (contract in gemm.hpp): the 8 lanes
 // of a panel row are 8 *independent* output columns; each accumulator lane
-// starts from its C element (init or earlier-strip partial) and adds
-// broadcast(A[i,l]) * B[l,j] in the same ascending-l order as the scalar
-// loop, mul then add, never an FMA.  The MR x 8 register block exists purely
-// to reuse each broadcast and each packed B row across independent outputs —
-// it reorders nothing within any one output's sum.  Zero-padded panel lanes
-// accumulate garbage-free +-0 terms and are never stored.
+// starts from its C element (init or earlier-strip partial) and folds in
+// broadcast(A[i,l]) * B[l,j] with one vfmadd per step, in the same
+// ascending-l order as the scalar std::fma loop.  The MR x 8 register block
+// exists purely to reuse each broadcast and each packed B row across
+// independent outputs — it reorders nothing within any one output's chain.
+// Zero-padded panel lanes accumulate garbage-free +-0 terms and are never
+// stored.
 
 #include "nn/kernels/gemm_micro.hpp"
 
-#if defined(NNQS_ENABLE_AVX2) && defined(__AVX2__)
+#if defined(NNQS_ENABLE_AVX2) && defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
 
@@ -61,8 +62,8 @@ void micro(const GemmArgs& g, Index i, Index l0, Index lc, const Real* bp,
     const __m256d b1 = _mm256_loadu_pd(bp + l * kNr + 4);
     for (int r = 0; r < MR; ++r) {
       const __m256d ar = _mm256_set1_pd(gemmA(g, i + r, l0 + l));
-      acc[r][0] = _mm256_add_pd(acc[r][0], _mm256_mul_pd(ar, b0));
-      acc[r][1] = _mm256_add_pd(acc[r][1], _mm256_mul_pd(ar, b1));
+      acc[r][0] = _mm256_fmadd_pd(ar, b0, acc[r][0]);
+      acc[r][1] = _mm256_fmadd_pd(ar, b1, acc[r][1]);
     }
   }
   for (int r = 0; r < MR; ++r) {
@@ -103,7 +104,8 @@ constexpr GemmMicro kAvx2Micro{kNr, &avx2Panel};
 }  // namespace
 
 const GemmMicro* avx2GemmMicro() {
-  static const bool ok = __builtin_cpu_supports("avx2") != 0;
+  static const bool ok = __builtin_cpu_supports("avx2") != 0 &&
+                         __builtin_cpu_supports("fma") != 0;
   return ok ? &kAvx2Micro : nullptr;
 }
 

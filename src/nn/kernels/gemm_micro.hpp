@@ -21,9 +21,9 @@ inline Real gemmB(const GemmArgs& g, Index l, Index j) {
 /// panel.  `bp` is the panel of B columns j0 .. j0+w packed as [lc][nr]
 /// (column lanes contiguous per k-row, lanes >= w zero-padded; padded lanes
 /// are computed but never stored).  C must already hold init_ij (or the
-/// partial sum of earlier k-strips); the kernel loads C, accumulates the
-/// strip's terms in ascending l per element, and stores back — exactly the
-/// contract's sequential sum, register-blocked over MR rows x nr columns.
+/// partial chain of earlier k-strips); the kernel loads C, fuses the strip's
+/// terms in ascending l per element, and stores back — exactly the
+/// contract's fma chain, register-blocked over MR rows x nr columns.
 using GemmPanelFn = void (*)(const GemmArgs& g, Index i0, Index mc, Index l0,
                              Index lc, const Real* bp, Index j0, Index w);
 

@@ -96,18 +96,24 @@ class HugeBuffer {
   void swap(HugeBuffer& o) noexcept {
     std::swap(p_, o.p_);
     std::swap(n_, o.n_);
+    std::swap(cap_, o.cap_);
   }
 
   /// Reallocate to `count` zeroed elements (previous contents discarded).
+  /// The block is rounded up to whole 2 MB pages, all of them zeroed.
   void assignZero(std::size_t count);
 
   [[nodiscard]] Real* data() { return p_; }
   [[nodiscard]] const Real* data() const { return p_; }
+  /// The `count` of the last assignZero.
   [[nodiscard]] std::size_t size() const { return n_; }
+  /// Zeroed elements the block really holds (size() rounded up to 2 MB).
+  [[nodiscard]] std::size_t capacity() const { return cap_; }
 
  private:
   Real* p_ = nullptr;
   std::size_t n_ = 0;
+  std::size_t cap_ = 0;
 };
 
 namespace detail {

@@ -15,7 +15,7 @@ Linear::Linear(Index in, Index out, Rng& rng, std::string name)
 void Linear::forwardInto(const Real* x, Index rows, Real* y,
                          kernels::KernelPolicy policy) const {
   // y = x W^T + b on the register-blocked GEMM backend (bit-identical to the
-  // naive loop under every policy).
+  // naive std::fma loop under every policy).
   kernels::GemmArgs g;
   g.m = rows;
   g.n = out_;
@@ -163,7 +163,7 @@ Real* Gelu::backwardTape(Tape& tape, const TapeFrame& f, const Real* dy) {
 const Real* TanhAct::forwardTape(Tape& tape, TapeFrame& f, const Real* x,
                                  Index n) const {
   Real* y = tape.alloc(n);
-  for (Index i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
+  kernels::tanh(x, y, n);
   f.y = y;
   f.n = n;
   return y;

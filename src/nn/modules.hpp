@@ -20,7 +20,8 @@ namespace nnqs::nn {
 
 /// Y = X W^T + b with W[out,in].  Forward and both backward GEMMs (dX = dY W,
 /// dW += dY^T X) run on the register-blocked kernels::gemm backend; every
-/// KernelPolicy is bit-identical to the naive loops this replaced.
+/// KernelPolicy is bit-identical to the naive std::fma loops of its
+/// contract (gemm.hpp).
 class Linear {
  public:
   Linear(Index in, Index out, Rng& rng, std::string name);
@@ -99,7 +100,8 @@ class Gelu {
   std::string name_;
 };
 
-/// Tanh, elementwise (phase network).
+/// Tanh, elementwise (phase network), on the kernels::tanh backends
+/// (the GELU kernels' branch-free tanh; elementwise.hpp).
 class TanhAct {
  public:
   explicit TanhAct(std::string name = "tanh") : name_(std::move(name)) {}

@@ -1,6 +1,5 @@
 #include "nn/transformer.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace nnqs::nn {
@@ -233,14 +232,13 @@ void PhaseMlp::forwardInto(Workspace& ws, const Real* x, Index rows, Real* out,
   // The caller owns the carve cycle (x itself may be carved from `ws`, so a
   // reset here would let the first layer's destination overlap its input).
   // Each Linear carves a fresh destination; tanh transforms it in place (the
-  // same per-element std::tanh as TanhAct::forwardTape, so the bits match).
+  // same kernels::tanh as TanhAct::forwardTape, so the bits match).
   const Real* cur = x;
   for (std::size_t l = 0; l < linear_.size(); ++l) {
     const Index width = linear_[l].w.value.shape[0];
     Real* y = l + 1 < linear_.size() ? ws.alloc(rows * width) : out;
     linear_[l].forwardInto(cur, rows, y, policy);
-    if (l < tanh_.size())
-      for (Index i = 0; i < rows * width; ++i) y[i] = std::tanh(y[i]);
+    if (l < tanh_.size()) kernels::tanh(y, y, rows * width, policy);
     cur = y;
   }
 }

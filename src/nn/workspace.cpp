@@ -10,13 +10,13 @@ void Workspace::reset() {
   // Coalesce: if the last cycle overflowed (or reserve history outgrew the
   // block), re-size the primary block to the high-water mark so the next
   // same-sized cycle is served contiguously with no allocation at all.
-  if (!overflow_.empty() || block_.size() < stats_.highWater) {
+  if (!overflow_.empty() || block_.capacity() < stats_.highWater) {
     overflow_.clear();
     overflowUsed_ = 0;
     block_.assignZero(stats_.highWater);
     ++stats_.grows;
   }
-  stats_.capacity = block_.size();
+  stats_.capacity = block_.capacity();
   used_ = 0;
   cycle_ = 0;
 }
@@ -25,10 +25,10 @@ void Workspace::reserve(Index n) {
   assert(used_ == 0 && cycle_ == 0 && overflow_.empty() &&
          "Workspace::reserve: only valid directly after reset()");
   const auto need = static_cast<std::size_t>(spanReals(n));
-  if (block_.size() < need) {
+  if (block_.capacity() < need) {
     block_.assignZero(need);
     ++stats_.grows;
-    stats_.capacity = block_.size();
+    stats_.capacity = block_.capacity();
   }
 }
 
@@ -36,7 +36,7 @@ Real* Workspace::alloc(Index n) {
   assert(n >= 0);
   const auto need = static_cast<std::size_t>(spanReals(n));
   cycle_ += need;
-  if (used_ + need <= block_.size()) {
+  if (used_ + need <= block_.capacity()) {
     Real* p = block_.data() + used_;
     used_ += need;
     return p;
@@ -44,9 +44,9 @@ Real* Workspace::alloc(Index n) {
   // Mid-cycle growth: live spans pin the primary block, so overflow goes to a
   // fresh side chunk (sized like a capacity doubling), coalesced away by the
   // next reset().
-  if (overflow_.empty() || overflowUsed_ + need > overflow_.back().size()) {
+  if (overflow_.empty() || overflowUsed_ + need > overflow_.back().capacity()) {
     const std::size_t chunk =
-        std::max(need, std::max(block_.size(), std::size_t{1} << 12));
+        std::max(need, std::max(block_.capacity(), std::size_t{1} << 12));
     overflow_.emplace_back();
     overflow_.back().assignZero(chunk);
     overflowUsed_ = 0;

@@ -54,7 +54,7 @@ class Workspace {
   void release(const Mark& m);
 
   struct Stats {
-    std::size_t capacity = 0;   ///< primary block size (Reals)
+    std::size_t capacity = 0;   ///< primary block size (Reals, 2 MB-rounded)
     std::size_t highWater = 0;  ///< max Reals carved in any cycle
     Index grows = 0;            ///< primary-block (re)allocations
     Index overflows = 0;        ///< mid-cycle side-chunk allocations

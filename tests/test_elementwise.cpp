@@ -1,16 +1,22 @@
-// Elementwise kernel backends (kernels::gelu / residualLayerNorm and their
-// backwards): exact (tolerance-0) agreement between the scalar reference and
-// the vectorized/threaded backends on ragged shapes, the branch-free kernel
-// tanh's accuracy, and the Workspace arena's carve/reuse/grow behaviour.
+// Elementwise kernel backends (kernels::gelu / tanh / residualLayerNorm and
+// their backwards): exact (tolerance-0) agreement between the scalar
+// reference and the vectorized/threaded backends on ragged shapes, the
+// branch-free kernel tanh's accuracy, and the Workspace arena's
+// carve/reuse/grow behaviour.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "nn/kernels/elementwise.hpp"
+#include "nn/kernels/elementwise_impl.hpp"
 #include "nn/modules.hpp"
 #include "nn/workspace.hpp"
 
@@ -39,12 +45,36 @@ std::vector<Real> randomVec(Rng& rng, std::size_t n, Real scale = 2.0) {
 }  // namespace
 
 TEST(ElementwiseKernels, KernelTanhTracksStdTanh) {
-  // The branch-free exp-based tanh must track std::tanh to a few ulp over
-  // the GELU input range and saturate exactly at the extremes.
+  // The branch-free exp-based tanh must track std::tanh over the GELU and
+  // phase-MLP input ranges and saturate exactly at the extremes.
   for (Real u = -25.0; u <= 25.0; u += 0.0137) {
     const Real ref = std::tanh(u);
     EXPECT_NEAR(kernels::kernelTanh(u), ref, 1e-15) << "u = " << u;
   }
+  // Measured ulp bounds (shared by every backend): <= 2 ulp for |u| >= 1,
+  // <= 10 ulp for |u| >= 1/8 (the (1 - e) cancellation grows the relative
+  // error like 1/|u| towards 0), absolute error <= 1.5 * 2^-52 on the whole
+  // line.  Geometric grid over 1e-20 .. 40, both signs.
+  auto ordered = [](Real v) {
+    std::int64_t i;
+    std::memcpy(&i, &v, sizeof i);
+    return i < 0 ? std::numeric_limits<std::int64_t>::min() - i : i;
+  };
+  std::int64_t worstNear = 0, worstFar = 0;
+  Real worstAbs = 0;
+  const Real step = std::pow(40.0 / 1e-20, 1.0 / 200000);
+  for (Real u = 1e-20; u <= 40.0; u *= step) {
+    for (const Real x : {u, -u}) {
+      const Real got = kernels::kernelTanh(x), ref = std::tanh(x);
+      const std::int64_t ulp = std::llabs(ordered(got) - ordered(ref));
+      if (u >= 1.0) worstFar = std::max(worstFar, ulp);
+      if (u >= 0.125) worstNear = std::max(worstNear, ulp);
+      worstAbs = std::max(worstAbs, std::fabs(got - ref));
+    }
+  }
+  EXPECT_LE(worstFar, 2);
+  EXPECT_LE(worstNear, 10);
+  EXPECT_LE(worstAbs, 1.5 * std::ldexp(1.0, -52));
   EXPECT_EQ(kernels::kernelTanh(0.0), 0.0);
   EXPECT_EQ(kernels::kernelTanh(400.0), 1.0);    // exp underflow: exact 1
   EXPECT_EQ(kernels::kernelTanh(-400.0), -1.0);
@@ -87,6 +117,45 @@ TEST(ElementwiseKernels, GeluBackendsBitIdenticalOnRaggedSizes) {
       std::vector<Real> inplace = x;
       kernels::gelu(inplace.data(), inplace.data(), n, policy);
       expectBitIdentical(ref, inplace, "gelu in-place");
+    }
+  }
+}
+
+TEST(ElementwiseKernels, TanhBackendsBitIdentical) {
+  // Every backend of kernels::tanh, including the AVX2 one that dispatch
+  // skips on AVX-512 hosts, against the scalar reference at tolerance 0.
+  // Sizes cover empty, sub-vector, exactly one AVX-512 vector, ragged tails
+  // and a size past the threaded driver's chunk.
+  const kernels::detail::EwBackend* backends[] = {kernels::detail::avx2EwBackend(),
+                                                  kernels::detail::avx512EwBackend()};
+  Rng rng(405);
+  for (Index n : {Index{0}, Index{1}, Index{7}, Index{8}, Index{9}, Index{1000},
+                  Index{1} << 15}) {
+    auto x = randomVec(rng, static_cast<std::size_t>(n));
+    if (n >= 9) {  // exact zeros, saturation and signed zero on vector lanes
+      x[0] = 0.0;
+      x[1] = -0.0;
+      x[2] = 40.0;
+      x[3] = -400.0;
+      x[4] = 1e-300;
+    }
+    std::vector<Real> ref(x.size());
+    kernels::tanh(x.data(), ref.data(), n, KernelPolicy::kScalar);
+    for (std::size_t i = 0; i < x.size(); ++i)
+      ASSERT_EQ(ref[i], kernels::kernelTanh(x[i])) << "scalar backend [" << i << "]";
+    for (auto policy : kAllPolicies) {
+      std::vector<Real> y(x.size());
+      kernels::tanh(x.data(), y.data(), n, policy);
+      expectBitIdentical(ref, y, "tanh");
+      std::vector<Real> inplace = x;  // the phase MLP runs tanh in place
+      kernels::tanh(inplace.data(), inplace.data(), n, policy);
+      expectBitIdentical(ref, inplace, "tanh in-place");
+    }
+    for (const kernels::detail::EwBackend* be : backends) {
+      if (be == nullptr) continue;  // not compiled in / not this CPU
+      std::vector<Real> y(x.size());
+      be->tanhForward(x.data(), y.data(), n);
+      expectBitIdentical(ref, y, "tanh backend");
     }
   }
 }
@@ -211,9 +280,10 @@ TEST(ElementwiseKernels, LayerNormBackwardBackendsBitIdentical) {
 }
 
 TEST(ElementwiseKernels, ModulesRunOnTheKernels) {
-  // The Gelu / LayerNorm modules (full-forward path) must produce exactly the
-  // scalar kernel sequences — that is what keeps full-forward and KV-decode
-  // sampling bit-identical.
+  // The Gelu / LayerNorm / TanhAct modules (full-forward and training paths)
+  // must produce exactly the scalar kernel sequences — that is what keeps
+  // full-forward and KV-decode sampling, and the phase MLP's inference and
+  // tape forwards, bit-identical.
   Rng rng(407);
   Gelu g;
   Tensor x({3, 7});
@@ -224,6 +294,12 @@ TEST(ElementwiseKernels, ModulesRunOnTheKernels) {
   const Real* y = g.forwardTape(tape, gf, x.data.data(), x.numel());
   for (Index i = 0; i < x.numel(); ++i)
     EXPECT_EQ(y[i], kernels::geluScalar(x.data[static_cast<std::size_t>(i)]));
+
+  TanhAct th;
+  TanhAct::TapeFrame tf;
+  const Real* ty = th.forwardTape(tape, tf, x.data.data(), x.numel());
+  for (Index i = 0; i < x.numel(); ++i)
+    EXPECT_EQ(ty[i], kernels::kernelTanh(x.data[static_cast<std::size_t>(i)]));
 
   LayerNorm ln(7, "t");
   LayerNorm::TapeFrame lf;
@@ -286,13 +362,14 @@ TEST(Workspace, MidCycleOverflowPreservesLiveSpansThenCoalesces) {
   ws.reserve(64);
   Real* a = ws.alloc(64);
   for (Index i = 0; i < 64; ++i) a[i] = static_cast<Real>(i);
-  // Overflows the reserved block: must come from a side chunk, leaving the
-  // live span `a` intact.
-  Real* b = ws.alloc(1 << 16);
+  // Overflows the reserved block (one 2 MB page, 1 << 18 Reals): must come
+  // from a side chunk, leaving the live span `a` intact.
+  constexpr Index kBig = Index{1} << 19;
+  Real* b = ws.alloc(kBig);
   ASSERT_NE(b, nullptr);
   EXPECT_GE(ws.stats().overflows, 1);
   b[0] = -1.0;
-  b[(1 << 16) - 1] = -2.0;
+  b[kBig - 1] = -2.0;
   for (Index i = 0; i < 64; ++i)
     ASSERT_EQ(a[i], static_cast<Real>(i)) << "overflow clobbered a live span";
   // The next reset coalesces: one block big enough for the whole cycle.
@@ -300,7 +377,7 @@ TEST(Workspace, MidCycleOverflowPreservesLiveSpansThenCoalesces) {
   EXPECT_GE(ws.stats().capacity, ws.stats().highWater);
   const auto overflowsBefore = ws.stats().overflows;
   ws.alloc(64);
-  ws.alloc(1 << 16);
+  ws.alloc(kBig);
   EXPECT_EQ(ws.stats().overflows, overflowsBefore) << "coalesced cycle overflowed";
 }
 
@@ -313,6 +390,27 @@ TEST(Workspace, ReserveAvoidsOverflowChunks) {
   EXPECT_GE(ws.stats().capacity, std::size_t{4096});
 }
 
+TEST(Workspace, ReserveWithinTheRoundedBlockDoesNotGrow) {
+  // A block is rounded up to whole 2 MB pages (1 << 18 Reals) and all of it
+  // is zeroed, so a later reserve or cycle that still fits the rounding must
+  // reuse it instead of freeing and re-zeroing a same-sized block.
+  Workspace ws;
+  ws.reset();
+  ws.reserve(1000);
+  const auto grows = ws.stats().grows;
+  EXPECT_EQ(ws.stats().capacity, std::size_t{1} << 18);
+  ws.reset();
+  ws.reserve(100000);
+  EXPECT_EQ(ws.stats().grows, grows) << "reserve inside the rounding grew";
+  for (int i = 0; i < 200; ++i) ws.alloc(1000);
+  EXPECT_EQ(ws.stats().overflows, 0);
+  ws.reset();
+  EXPECT_EQ(ws.stats().grows, grows) << "high-water inside the rounding grew";
+  ws.reserve((Index{1} << 18) + 1);
+  EXPECT_EQ(ws.stats().grows, grows + 1);
+  EXPECT_EQ(ws.stats().capacity, std::size_t{2} << 18);
+}
+
 TEST(Workspace, ReleaseEndsLaterSpansAndKeepsEarlierOnes) {
   Workspace ws;
   ws.reset();
@@ -321,7 +419,8 @@ TEST(Workspace, ReleaseEndsLaterSpansAndKeepsEarlierOnes) {
   for (Index i = 0; i < 64; ++i) a[i] = static_cast<Real>(i);
   const Workspace::Mark m = ws.mark();
   Real* b = ws.alloc(1000);
-  Real* c = ws.alloc(1 << 14);  // overflows into a side chunk
+  constexpr Index kBig = Index{1} << 18;
+  Real* c = ws.alloc(kBig);  // overflows the 2 MB block into a side chunk
   EXPECT_GE(ws.stats().overflows, 1);
   b[0] = c[0] = -1.0;
   ws.release(m);
@@ -332,12 +431,12 @@ TEST(Workspace, ReleaseEndsLaterSpansAndKeepsEarlierOnes) {
   // The released peak still counts: the next reset sizes the block for it,
   // so the same cycle replays without a side chunk.
   ws.reset();
-  EXPECT_GE(ws.stats().highWater, std::size_t{64 + 1000 + (1 << 14)});
+  EXPECT_GE(ws.stats().highWater, std::size_t{64 + 1000 + kBig});
   const auto overflows = ws.stats().overflows;
   ws.alloc(64);
   const Workspace::Mark m2 = ws.mark();
   ws.alloc(1000);
-  ws.alloc(1 << 14);
+  ws.alloc(kBig);
   ws.release(m2);
   ws.alloc(1000);
   EXPECT_EQ(ws.stats().overflows, overflows);

@@ -1,16 +1,20 @@
 // GEMM kernel backends: exact (tolerance-0) agreement between the naive
-// reference loop, the scalar packed path, and the SIMD/threaded blocked
-// backends, over ragged/odd shapes, all four operand layouts, bias /
+// std::fma reference loop, the scalar packed path, and the SIMD/threaded
+// blocked backends, over ragged/odd shapes, all four operand layouts, bias /
 // accumulate init modes, empty rows, and the linalg::matmul / matmulTN and
-// Linear rewirings.
+// Linear rewirings; plus operands on which only a fused step gives the
+// contract's bits.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "linalg/matrix.hpp"
-#include "nn/kernels/gemm.hpp"
+#include "nn/kernels/gemm_micro.hpp"
 #include "nn/modules.hpp"
 
 using namespace nnqs;
@@ -35,6 +39,11 @@ struct Problem {
     for (auto& v : bias) v = rng.normal();
     for (auto& v : c0) v = rng.normal();  // accumulate-mode initial C
   }
+  Problem(Index m_, Index n_, Index k_, bool ta, bool tb, std::vector<Real> a_,
+          std::vector<Real> b_, std::vector<Real> bias_)
+      : m(m_), n(n_), k(k_), transA(ta), transB(tb), a(std::move(a_)),
+        b(std::move(b_)), bias(std::move(bias_)),
+        c0(static_cast<std::size_t>(m * n)) {}
 
   /// mode 0: C = A B; mode 1: C = bias + A B; mode 2: C += A B (from c0).
   [[nodiscard]] std::vector<Real> run(KernelPolicy policy, int mode) const {
@@ -57,7 +66,43 @@ struct Problem {
     return c;
   }
 
-  /// Independent naive evaluation of the contract (not via the backend).
+  /// One backend's packed-panel micro-kernel over the whole problem, driven
+  /// directly (no dispatch), so the AVX2 and scalar panels are checked on
+  /// hosts where the driver would pick AVX-512: C = init, then every panel
+  /// of B packed [k][nr] (zero-padded) and swept in one k-strip.
+  [[nodiscard]] std::vector<Real> runPanels(const kernels::detail::GemmMicro& micro,
+                                            int mode) const {
+    std::vector<Real> c = mode == 2 ? c0 : std::vector<Real>(static_cast<std::size_t>(m * n), 0.0);
+    if (mode == 1)
+      for (Index i = 0; i < m; ++i)
+        for (Index j = 0; j < n; ++j)
+          c[static_cast<std::size_t>(i * n + j)] = bias[static_cast<std::size_t>(j)];
+    GemmArgs g;
+    g.m = m;
+    g.n = n;
+    g.k = k;
+    g.a = a.data();
+    g.lda = transA ? m : k;
+    g.transA = transA;
+    g.b = b.data();
+    g.ldb = transB ? k : n;
+    g.transB = transB;
+    g.c = c.data();
+    g.ldc = n;
+    std::vector<Real> packed(static_cast<std::size_t>(k * micro.nr));
+    for (Index j0 = 0; j0 < n; j0 += micro.nr) {
+      const Index w = std::min(micro.nr, n - j0);
+      for (Index l = 0; l < k; ++l)
+        for (Index jj = 0; jj < micro.nr; ++jj)
+          packed[static_cast<std::size_t>(l * micro.nr + jj)] =
+              jj < w ? kernels::detail::gemmB(g, l, j0 + jj) : 0.0;
+      micro.panel(g, 0, m, 0, k, packed.data(), j0, w);
+    }
+    return c;
+  }
+
+  /// Independent naive evaluation of the contract (not via the backend):
+  /// one ascending-l std::fma chain per output.
   [[nodiscard]] std::vector<Real> reference(int mode) const {
     std::vector<Real> c(static_cast<std::size_t>(m * n));
     for (Index i = 0; i < m; ++i)
@@ -69,13 +114,21 @@ struct Problem {
                                  : a[static_cast<std::size_t>(i * k + l)];
           const Real bv = transB ? b[static_cast<std::size_t>(j * k + l)]
                                  : b[static_cast<std::size_t>(l * n + j)];
-          s += av * bv;
+          s = std::fma(av, bv, s);
         }
         c[static_cast<std::size_t>(i * n + j)] = s;
       }
     return c;
   }
 };
+
+/// Every packed-panel backend compiled in and supported by this CPU.
+std::vector<const kernels::detail::GemmMicro*> microBackends() {
+  std::vector<const kernels::detail::GemmMicro*> out{kernels::detail::scalarGemmMicro()};
+  if (const auto* m = kernels::detail::avx2GemmMicro()) out.push_back(m);
+  if (const auto* m = kernels::detail::avx512GemmMicro()) out.push_back(m);
+  return out;
+}
 
 void expectSame(const std::vector<Real>& ref, const std::vector<Real>& got,
                 const char* what) {
@@ -88,7 +141,7 @@ void expectSame(const std::vector<Real>& ref, const std::vector<Real>& got,
 
 TEST(Gemm, BackendsBitIdenticalOnRaggedShapes) {
   // Odd everything: panel tails (n mod 16 / mod 8), row-block and MR tails
-  // (m mod 64 / mod 4), multi-strip k (> 384), and single rows/cols.
+  // (m mod 64 / mod 8 / mod 4), multi-strip k (> 384), and single rows/cols.
   Rng rng(2025);
   struct Shape {
     Index m, n, k;
@@ -96,7 +149,7 @@ TEST(Gemm, BackendsBitIdenticalOnRaggedShapes) {
   const Shape shapes[] = {
       {1, 1, 1},    {1, 17, 5},   {4, 16, 8},    {5, 3, 7},
       {33, 21, 13}, {64, 192, 64}, {65, 15, 70}, {7, 130, 401},  // k > one strip
-      {130, 7, 3},  {2, 8, 390},
+      {130, 7, 3},  {2, 8, 390},  {14, 31, 9},   {70, 40, 17},
   };
   for (const auto& s : shapes)
     for (const bool ta : {false, true})
@@ -108,10 +161,52 @@ TEST(Gemm, BackendsBitIdenticalOnRaggedShapes) {
           const auto naive = p.reference(mode);
           for (std::size_t i = 0; i < ref.size(); ++i)
             ASSERT_EQ(naive[i], ref[i]) << "scalar ref m=" << s.m << " n=" << s.n;
+          for (const auto* micro : microBackends())
+            expectSame(ref, p.runPanels(*micro, mode), "panel backend");
           expectSame(ref, p.run(KernelPolicy::kSimd, mode), "simd");
           expectSame(ref, p.run(KernelPolicy::kThreaded, mode), "threaded");
           expectSame(ref, p.run(KernelPolicy::kAuto, mode), "auto");
         }
+}
+
+TEST(Gemm, EveryBackendFusesEachStep) {
+  // Operands on which one rounding and two roundings disagree:
+  // a*b = 1 - 2^-60 exactly, so fma(a, b, -1) = -2^-60 while the product
+  // rounds to 1 first and a*b + (-1) = 0.  Every output starts from the bias
+  // -1, meets zero terms, and then the discriminating term last — past the
+  // first k-strip when k > 384 — so any backend, row-block height or panel
+  // tail still issuing mul+add returns 0 instead of -2^-60.
+  const Real a = 1.0 + std::ldexp(1.0, -30), b = 1.0 - std::ldexp(1.0, -30);
+  const Real fused = -std::ldexp(1.0, -60);
+  ASSERT_EQ(std::fma(a, b, -1.0), fused);
+  ASSERT_EQ(a * b + -1.0, 0.0);
+  struct Shape {
+    Index m, n, k;
+  };
+  for (const Shape sh : {Shape{1, 1, 1}, Shape{3, 5, 2}, Shape{8, 16, 3},
+                         Shape{15, 17, 4}, Shape{70, 33, 9}, Shape{9, 24, 401}}) {
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        std::vector<Real> av(static_cast<std::size_t>(sh.m * sh.k), 0.0);
+        std::vector<Real> bv(static_cast<std::size_t>(sh.k * sh.n), 0.0);
+        const Index last = sh.k - 1;
+        for (Index i = 0; i < sh.m; ++i)
+          av[static_cast<std::size_t>(ta ? last * sh.m + i : i * sh.k + last)] = a;
+        for (Index j = 0; j < sh.n; ++j)
+          bv[static_cast<std::size_t>(tb ? j * sh.k + last : last * sh.n + j)] = b;
+        const std::vector<Real> bias(static_cast<std::size_t>(sh.n), -1.0);
+        Problem p(sh.m, sh.n, sh.k, ta, tb, av, bv, bias);
+        for (const auto* micro : microBackends())
+          for (const Real v : p.runPanels(*micro, 1))
+            ASSERT_EQ(v, fused) << "panel backend nr=" << micro->nr << " m=" << sh.m;
+        for (auto policy : {KernelPolicy::kScalar, KernelPolicy::kSimd,
+                            KernelPolicy::kThreaded, KernelPolicy::kAuto})
+          for (const Real v : p.run(policy, 1))
+            ASSERT_EQ(v, fused) << kernels::kernelPolicyName(policy) << " m=" << sh.m
+                                << " n=" << sh.n << " k=" << sh.k;
+      }
+    }
+  }
 }
 
 TEST(Gemm, EmptyDimensionsAreHandled) {
@@ -161,8 +256,8 @@ TEST(Gemm, LinearForwardMatchesHandLoop) {
     for (Index o = 0; o < out; ++o) {
       Real s = lin.b.value[static_cast<std::size_t>(o)];
       for (Index i = 0; i < in; ++i)
-        s += lin.w.value[static_cast<std::size_t>(o * in + i)] *
-             x.data[static_cast<std::size_t>(r * in + i)];
+        s = std::fma(lin.w.value[static_cast<std::size_t>(o * in + i)],
+                     x.data[static_cast<std::size_t>(r * in + i)], s);
       const Real got = y.data[static_cast<std::size_t>(r * out + o)];
       EXPECT_EQ(got, s) << "y[" << r << "," << o << "]";
     }
@@ -200,7 +295,7 @@ TEST(Gemm, MatmulMatchesReferenceLoop) {
   for (Index i = 0; i < 23; ++i)
     for (Index j = 0; j < 29; ++j) {
       Real s = 0;
-      for (Index l = 0; l < 37; ++l) s += a(i, l) * b(l, j);
+      for (Index l = 0; l < 37; ++l) s = std::fma(a(i, l), b(l, j), s);
       EXPECT_EQ(c(i, j), s) << i << "," << j;
     }
 }
